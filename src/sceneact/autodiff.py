@@ -351,22 +351,30 @@ def _softplus(z: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, z)
 
 
-def focal_from_logits(logits: Tensor, targets, alpha: float, gamma: float) -> Tensor:
-    """Elementwise sigmoid focal loss against binary targets.
+def _focal(x: np.ndarray, t: np.ndarray, alpha: float, gamma: float):
+    """Sigmoid focal loss of logits ``x`` against 0/1 targets ``t``.
 
-    targets is a constant 0/1 array of the same shape. Stable at extreme
-    logits through softplus; positive term is alpha * (1-p)^gamma * -log p.
+    Returns the loss with p, -log p and -log(1-p), which the gradient
+    reuses. Stable at extreme logits through softplus; the positive term
+    is alpha * (1-p)^gamma * -log p.
     """
-    t = np.asarray(targets, dtype=np.float64)
-    if t.shape != logits.data.shape:
-        raise DimensionError(f"focal targets {t.shape} vs logits {logits.shape}")
-    x = logits.data
     p = _sigmoid(x)
     sp_neg = _softplus(-x)  # -log p
     sp_pos = _softplus(x)  # -log (1-p)
     pos = alpha * np.power(1.0 - p, gamma) * sp_neg
     neg = (1.0 - alpha) * np.power(p, gamma) * sp_pos
-    out = t * pos + (1.0 - t) * neg
+    return t * pos + (1.0 - t) * neg, p, sp_neg, sp_pos
+
+
+def focal_from_logits(logits: Tensor, targets, alpha: float, gamma: float) -> Tensor:
+    """Elementwise sigmoid focal loss against binary targets.
+
+    targets is a constant 0/1 array of the same shape.
+    """
+    t = np.asarray(targets, dtype=np.float64)
+    if t.shape != logits.data.shape:
+        raise DimensionError(f"focal targets {t.shape} vs logits {logits.shape}")
+    out, p, sp_neg, sp_pos = _focal(logits.data, t, alpha, gamma)
 
     def bwd(g):
         dpos = -alpha * np.power(1.0 - p, gamma) * (gamma * p * sp_neg + (1.0 - p))

@@ -7,8 +7,7 @@ attention export for one clip). Exit codes: 0 success, 1 validation or
 configuration error, 2 runtime abort (non-finite loss, I/O failure).
 
 All outputs are pure functions of the config seed; no wall-clock or
-environment state leaks into files. SCENEACT_THREADS sets the default
-worker count for clip-parallel generation and evaluation.
+environment state leaks into files.
 """
 
 from __future__ import annotations
@@ -17,19 +16,22 @@ import argparse
 import csv
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import autodiff as ad
 from . import model as mdl
-from .checkpoint import load_checkpoint
-from .config import RunConfig, config_hash, config_to_dict, dump_config, load_config
+from .config import (
+    RunConfig,
+    config_from_dict,
+    config_hash,
+    config_to_dict,
+    dump_config,
+    load_config,
+)
 from .errors import ConfigError, ContractError, NanLossError, ParseError, ValidationError
 from .evaluation import write_report
-from .longterm import AggregationWeights, WindowingConfig, windows
+from .longterm import AggregationWeights, WindowingConfig
 from .rng import RngStream
 from .synthdata import (
     Dataset,
@@ -56,13 +58,6 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 
 
-def default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("SCENEACT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _ensure_out_dir(path: Path, force: bool):
     if path.exists() and any(path.iterdir()) and not force:
         raise ConfigError(f"output directory {path} is not empty (use --force)")
@@ -74,17 +69,10 @@ def _load_dataset_dir(dataset_dir) -> tuple[Dataset, RunConfig]:
     if not manifest_path.exists():
         raise ConfigError(f"no manifest.json under {dataset_dir}")
     manifest = json.loads(manifest_path.read_text())
-    cfg = load_config_from_manifest(manifest)
-    dataset = generate_dataset(cfg.scenario)
+    cfg = config_from_dict(manifest["config"])
     if manifest.get("config_hash") != config_hash(cfg):
         raise ValidationError(f"manifest config hash mismatch in {dataset_dir}")
-    return dataset, cfg
-
-
-def load_config_from_manifest(manifest: dict) -> RunConfig:
-    from .config import config_from_dict
-
-    return config_from_dict(manifest["config"])
+    return generate_dataset(cfg.scenario), cfg
 
 
 def cmd_generate(args) -> int:

@@ -1,11 +1,12 @@
 """Set matching between padded ground truth and the K predictions.
 
-The matching cost per (target, prediction) pair combines a sigmoid focal
-term on the detector confidence with L1 and generalized-IoU box terms;
-padding targets cost zero against every prediction. The optimal
-assignment is found by an O(K^3) shortest-augmenting-path solver. The
-training loss sums the focal classification loss over matched action
-label vectors, where padding targets contribute all-negative labels.
+The (K, K) matching cost combines a sigmoid focal term on the detector
+confidence (and, by ``cost_mode``, on the action logits) with L1 and
+generalized-IoU box terms; padding targets cost zero against every
+prediction. scipy's ``linear_sum_assignment`` finds the optimal
+assignment. The training loss sums the focal classification loss over
+matched action label vectors, where padding targets contribute
+all-negative labels.
 
 Only action logits carry gradient: the match itself is computed on plain
 floats and is a constant with respect to differentiation.
@@ -14,10 +15,10 @@ floats and is a constant with respect to differentiation.
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from . import autodiff as ad
 from .boxes import BoundingBox, box_l1, giou
@@ -70,9 +71,6 @@ class GroundTruthSet:
     def count(self) -> int:
         return len(self.boxes)
 
-    def is_real(self, i: int) -> bool:
-        return i < self.count
-
     @classmethod
     def build(cls, boxes, labels, total: int) -> "GroundTruthSet":
         """Pad (or clip by descending box area, with a warning) to ``total``."""
@@ -93,142 +91,50 @@ class MatchResult:
     total_cost: float
 
 
-def focal_loss(logit: float, target: int, cfg: LossConfig) -> float:
-    """Scalar sigmoid focal loss; stable at extreme logits."""
-    x = float(logit)
-    sp_neg = math.log1p(math.exp(-abs(x))) + max(-x, 0.0)  # softplus(-x)
-    sp_pos = math.log1p(math.exp(-abs(x))) + max(x, 0.0)  # softplus(x)
-    p = 1.0 / (1.0 + math.exp(-x)) if x >= 0 else math.exp(x) / (1.0 + math.exp(x))
-    if target:
-        return cfg.focal_alpha * (1.0 - p) ** cfg.focal_gamma * sp_neg
-    return (1.0 - cfg.focal_alpha) * p ** cfg.focal_gamma * sp_pos
+def cost_matrix(gts: GroundTruthSet, preds, cfg: LossConfig) -> np.ndarray:
+    """(K, K) matching cost of each padded target against each prediction.
 
-
-def _logit(prob: float) -> float:
-    p = min(max(prob, _H_CLIP), 1.0 - _H_CLIP)
-    return math.log(p / (1.0 - p))
-
-
-def pair_cost(
-    gt_box: BoundingBox | None,
-    gt_labels: np.ndarray | None,
-    pred_box: BoundingBox,
-    person_score: float,
-    action_logits: np.ndarray | None,
-    cfg: LossConfig,
-) -> float:
-    """Matching cost of one target against one prediction.
-
-    A padding target (gt_box None) costs zero. The detector confidence
-    enters the focal term as a logit (inverse sigmoid of the clamped
-    probability) so a single focal implementation serves everywhere.
+    Real rows add L1 and generalized-IoU box terms to sigmoid focal terms;
+    padding rows are zero. The detector confidence enters the focal term
+    as a logit (inverse sigmoid of the clamped probability), so the focal
+    formula is the one the set loss uses.
     """
-    if gt_box is None:
-        return 0.0
-    cost = cfg.lambda_l1 * box_l1(gt_box, pred_box) + cfg.lambda_giou * (
-        1.0 - giou(gt_box, pred_box)
-    )
+    k, n = gts.total, gts.count
+    if len(preds.boxes) != k:
+        raise ContractError(
+            f"prediction count {len(preds.boxes)} differs from target capacity {k}"
+        )
+    cost = np.zeros((k, k))
+    for i, gt in enumerate(gts.boxes):
+        for j, box in enumerate(preds.boxes):
+            cost[i, j] = cfg.lambda_l1 * box_l1(gt, box) + cfg.lambda_giou * (1.0 - giou(gt, box))
+    alpha, gamma = cfg.focal_alpha, cfg.focal_gamma
     if cfg.cost_mode in ("person", "both"):
-        cost += focal_loss(_logit(person_score), 1, cfg)
+        h = np.clip(preds.person_scores, _H_CLIP, 1.0 - _H_CLIP)
+        cost[:n] += ad._focal(np.log(h / (1.0 - h)), 1.0, alpha, gamma)[0]
     if cfg.cost_mode in ("action", "both"):
-        if action_logits is None or gt_labels is None:
-            raise ContractError("action cost mode requires action logits and labels")
-        for k in range(len(gt_labels)):
-            cost += focal_loss(float(action_logits[k]), int(gt_labels[k]), cfg)
+        focal = ad._focal(preds.action_logits[None], gts.labels[:, :, None], alpha, gamma)[0]
+        cost[:n] += focal.sum(axis=1)  # (n, num_classes, K) summed over classes
     return cost
 
 
 def hungarian(cost: np.ndarray) -> MatchResult:
-    """Minimum-cost perfect assignment on a square matrix.
-
-    Shortest-augmenting-path formulation with row/column potentials,
-    O(n^3); handles arbitrary finite entries.
-    """
+    """Minimum-cost perfect assignment on a square matrix of finite entries."""
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ContractError(f"cost matrix must be square, got {cost.shape}")
     if not np.all(np.isfinite(cost)):
         raise ContractError("cost matrix contains non-finite entries")
-    n = cost.shape[0]
-    inf = float("inf")
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    match_row = [0] * (n + 1)  # column j -> assigned row (1-based), 0 = free
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        match_row[0] = i
-        j0 = 0
-        minv = [inf] * (n + 1)
-        used = [False] * (n + 1)
-        while True:
-            used[j0] = True
-            i0 = match_row[j0]
-            delta = inf
-            j1 = 0
-            row = cost[i0 - 1]
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = row[j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match_row[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if match_row[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            match_row[j0] = match_row[j1]
-            j0 = j1
-    sigma = [0] * n
-    for j in range(1, n + 1):
-        sigma[match_row[j] - 1] = j - 1
-    total = float(sum(cost[i, sigma[i]] for i in range(n)))
-    return MatchResult(tuple(sigma), total)
+    rows, cols = linear_sum_assignment(cost)
+    return MatchResult(tuple(int(j) for j in cols), float(cost[rows, cols].sum()))
 
 
 def match(gts: GroundTruthSet, preds, cfg: LossConfig) -> MatchResult:
-    """Assign each padded target a distinct prediction, minimizing pair cost.
-
-    ``preds`` carries boxes, person_scores and action_logits for K
-    predictions (see PredictionSet). Padding rows are all-zero, so the
+    """Assign each padded target a distinct one of the K predictions
+    (a PredictionSet) at minimum cost. Padding rows are all-zero, so the
     reported total equals the cost over real targets.
     """
-    k = gts.total
-    if len(preds.boxes) != k:
-        raise ContractError(
-            f"prediction count {len(preds.boxes)} differs from target capacity {k}"
-        )
-    logits = np.asarray(preds.action_logits)
-    cost = np.zeros((k, k))
-    for i in range(gts.count):
-        for j in range(k):
-            cost[i, j] = pair_cost(
-                gts.boxes[i],
-                gts.labels[i],
-                preds.boxes[j],
-                float(preds.person_scores[j]),
-                logits[:, j],
-                cfg,
-            )
-    return hungarian(cost)
-
-
-def target_matrix(gts: GroundTruthSet, sigma) -> np.ndarray:
-    """(K, num_classes) label matrix aligned to predictions via sigma."""
-    out = np.zeros((gts.total, gts.labels.shape[1]))
-    for i in range(gts.count):
-        out[sigma[i]] = gts.labels[i]
-    return out
+    return hungarian(cost_matrix(gts, preds, cfg))
 
 
 def set_loss(gts: GroundTruthSet, logits: ad.Tensor, sigma, cfg: LossConfig) -> ad.Tensor:
@@ -243,6 +149,5 @@ def set_loss(gts: GroundTruthSet, logits: ad.Tensor, sigma, cfg: LossConfig) -> 
     rows = ad.transpose(logits)  # (K, num_classes)
     ordered = ad.gather_rows(rows, list(sigma))  # row i = prediction sigma(i)
     targets = np.zeros((k, logits.shape[0]))
-    for i in range(gts.count):
-        targets[i] = gts.labels[i]
+    targets[: gts.count] = gts.labels
     return ad.reduce_sum(ad.focal_from_logits(ordered, targets, cfg.focal_alpha, cfg.focal_gamma))

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model as mdl
 from .checkpoint import load_checkpoint, params_hash, save_checkpoint
-from .errors import ConfigError, ContractError, NanLossError
+from .errors import ConfigError, NanLossError
 from .evaluation import Detection, EvalReport, GroundTruthBox, evaluate
 from .longterm import (
     AggregationWeights,
@@ -56,12 +56,10 @@ class OptimizerConfig:
 
     The published schedule (lr 1e-4, 8 epochs, batch 16, decay at epoch
     6, weight decay 1e-4) targets large pretrained backbones; the
-    defaults here are the faster desk-scale schedule. ``backbone_lr`` is
-    carried for config fidelity but nothing at this scale consumes it.
+    defaults here are the faster desk-scale schedule.
     """
 
     lr: float = 1e-3
-    backbone_lr: float = 1e-5  # unused slot at this scale
     weight_decay: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
@@ -76,8 +74,8 @@ class OptimizerConfig:
     aggregation_epochs: int = 150
 
     def __post_init__(self):
-        if self.lr <= 0 or self.backbone_lr <= 0:
-            raise ConfigError("learning rates must be positive")
+        if self.lr <= 0:
+            raise ConfigError("lr must be positive")
         if self.epochs < 1:
             raise ConfigError("epochs must be at least 1")
         if self.batch_size < 1:
@@ -161,16 +159,6 @@ class TrainState:
     history: list = field(default_factory=list)  # (epoch, mean loss, mAP)
 
 
-def _detections_for_clip(clip: ClipSample, preds: mdl.PredictionSet) -> list[Detection]:
-    """Ranking score per (box, class) is person score times action score."""
-    scores = preds.person_scores[None, :] * preds.action_scores
-    out = []
-    for i in range(preds.count):
-        for k in range(scores.shape[0]):
-            out.append(Detection(clip.clip_id, preds.boxes[i], k, float(scores[k, i])))
-    return out
-
-
 def predict_clip(
     params: ModelParams,
     cfg: ModelConfig,
@@ -202,8 +190,7 @@ def evaluate_short_term(
     proposal_mode: str = "topk",
     proposal_tau: float = 0.0,
 ) -> EvalReport:
-    dets: list[Detection] = []
-    gts: list[GroundTruthBox] = []
+    scored = []
     for clip in clips:
         proposals = sample_proposals(
             clip.detections, scenario.proposal_count, mode=proposal_mode,
@@ -211,12 +198,8 @@ def evaluate_short_term(
         )
         preds = predict_clip(params, cfg, clip, windowing, scenario.grid_t,
                              use_scene=use_scene, proposals=proposals)
-        dets.extend(_detections_for_clip(clip, preds))
-        gts.extend(ground_truth_boxes(clip))
-    return evaluate(
-        dets, gts, category_map(scenario.num_classes),
-        {k: class_name(k, scenario.num_classes) for k in range(scenario.num_classes)},
-    )
+        scored.append((clip, proposals, preds.action_scores))
+    return _evaluate_scored(scored, scenario)
 
 
 def ground_truth_boxes(clip: ClipSample) -> list[GroundTruthBox]:
@@ -234,20 +217,30 @@ def evaluate_longterm(
     topk: int = 1,
 ) -> EvalReport:
     """Evaluate fused long-term scores against the clips' ground truth."""
+    return _evaluate_scored(
+        [(ws.clip, ws.clip.proposals, aggregate(ws, weights, strategy, topk))
+         for ws in windowed],
+        scenario,
+    )
+
+
+def _evaluate_scored(scored, scenario: ScenarioConfig) -> EvalReport:
+    """Frame AP of ``(clip, proposals, (num_classes, K) action scores)`` triples.
+
+    A detection ranks by person score times action score. Detections are
+    listed proposal-major, then by class, which fixes AP tie-breaking.
+    """
     dets: list[Detection] = []
     gts: list[GroundTruthBox] = []
-    for ws in windowed:
-        fused = aggregate(ws, weights, strategy, topk)  # (num_classes, K)
-        person = np.array([p.person_score for p in ws.clip.proposals])
-        ranked = person[None, :] * fused
-        for i, prop in enumerate(ws.clip.proposals):
+    for clip, proposals, action_scores in scored:
+        person = np.array([p.person_score for p in proposals])
+        ranked = person[None, :] * action_scores
+        for i, prop in enumerate(proposals):
             for k in range(ranked.shape[0]):
-                dets.append(Detection(ws.clip.clip_id, prop.box, k, float(ranked[k, i])))
-        gts.extend(ground_truth_boxes(ws.clip))
-    return evaluate(
-        dets, gts, category_map(scenario.num_classes),
-        {k: class_name(k, scenario.num_classes) for k in range(scenario.num_classes)},
-    )
+                dets.append(Detection(clip.clip_id, prop.box, k, float(ranked[k, i])))
+        gts.extend(ground_truth_boxes(clip))
+    n = scenario.num_classes
+    return evaluate(dets, gts, category_map(n), {k: class_name(k, n) for k in range(n)})
 
 
 def train_short_term(
@@ -364,14 +357,11 @@ def train_long_term(
     """
     params = state.params
     scenario = dataset.cfg
-    before_hash = params_hash({p.name: p.value.data for p in params.parameters()})
+    # train_aggregation raises if the frozen parameters drift
     weights = train_aggregation(
         params, model_cfg, dataset.train, windowing, scenario.grid_t, loss_cfg,
         lr=opt_cfg.aggregation_lr, epochs=opt_cfg.aggregation_epochs,
     )
-    after_hash = params_hash({p.name: p.value.data for p in params.parameters()})
-    if before_hash != after_hash:
-        raise ContractError("model parameters drifted during the frozen phase")
     windowed = [
         run_windowed(params, model_cfg, clip, windowing, scenario.grid_t)
         for clip in dataset.eval
@@ -384,7 +374,7 @@ def train_long_term(
     report = {
         "short_term_map": short.mean_ap,
         "long_term_map": fused.mean_ap,
-        "params_hash": after_hash,
+        "params_hash": params_hash({p.name: p.value.data for p in params.parameters()}),
     }
     log.info("long-term map %.4f (short-term %.4f)", fused.mean_ap, short.mean_ap)
     return weights, report

@@ -1,10 +1,12 @@
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sceneact import cli
 from sceneact.cli import main
 from sceneact.config import config_from_dict, config_hash, load_config
 from sceneact.errors import ConfigError
@@ -99,6 +101,23 @@ class TestGenerate:
         assert main(["generate", "--config", str(cfg_path), "--out", str(data_dir)]) == 1
         assert main(["generate", "--config", str(cfg_path), "--out", str(data_dir),
                      "--force"]) == 0
+
+
+class TestDatasetManifest:
+    def test_edited_config_rejected_before_generation(self, workspace, tmp_path, monkeypatch,
+                                                      capsys):
+        _root, _cfg, data_dir, _out = workspace
+        edited = tmp_path / "data"
+        shutil.copytree(data_dir, edited)
+        manifest = json.loads((edited / "manifest.json").read_text())
+        manifest["config"]["scenario"]["eval_clips"] += 1
+        (edited / "manifest.json").write_text(json.dumps(manifest))
+        calls = []
+        monkeypatch.setattr(cli, "generate_dataset", lambda *a, **kw: calls.append(a))
+        rc = main(["train", "--dataset", str(edited), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert calls == []
+        assert "config hash mismatch" in capsys.readouterr().err
 
 
 class TestTrainEvalInspect:

@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 
 from sceneact import autodiff as ad
-from sceneact.boxes import BoundingBox
+from sceneact.boxes import BoundingBox, box_l1, giou
 from sceneact.errors import ContractError
 from sceneact.matching import (
     GroundTruthSet,
     LossConfig,
-    focal_loss,
+    cost_matrix,
     hungarian,
     match,
-    pair_cost,
     set_loss,
 )
 from sceneact.model import PredictionSet
@@ -32,6 +31,31 @@ def brute_force_assignment(cost):
 
 def make_preds(boxes, person_scores, logits):
     return PredictionSet(boxes, np.asarray(person_scores), np.asarray(logits))
+
+
+def scalar_focal(logit: float, target: int, cfg: LossConfig) -> float:
+    """Independent scalar sigmoid focal loss, written with the math module."""
+    x = float(logit)
+    sp_neg = math.log1p(math.exp(-abs(x))) + max(-x, 0.0)  # softplus(-x)
+    sp_pos = math.log1p(math.exp(-abs(x))) + max(x, 0.0)  # softplus(x)
+    p = 1.0 / (1.0 + math.exp(-x)) if x >= 0 else math.exp(x) / (1.0 + math.exp(x))
+    if target:
+        return cfg.focal_alpha * (1.0 - p) ** cfg.focal_gamma * sp_neg
+    return (1.0 - cfg.focal_alpha) * p ** cfg.focal_gamma * sp_pos
+
+
+def focal_loss(logit: float, target: int, cfg: LossConfig) -> float:
+    """focal_from_logits on a single logit."""
+    out = ad.focal_from_logits(ad.Tensor([logit]), [target], cfg.focal_alpha, cfg.focal_gamma)
+    return out.item()
+
+
+def pair_cost(gt_box, gt_labels, pred_box, person_score, cfg) -> float:
+    """cost_matrix entry of one target (None: padding) against one prediction."""
+    labels = np.zeros((0, 1)) if gt_box is None else np.atleast_2d(gt_labels)
+    gts = GroundTruthSet.build([] if gt_box is None else [gt_box], labels, 1)
+    preds = make_preds([pred_box], [person_score], np.zeros((labels.shape[1], 1)))
+    return cost_matrix(gts, preds, cfg)[0, 0]
 
 
 class TestFocalLoss:
@@ -64,12 +88,12 @@ class TestPairCost:
     def test_padding_target_costs_zero(self):
         cfg = LossConfig()
         box = BoundingBox(0.1, 0.1, 0.5, 0.5)
-        assert pair_cost(None, None, box, 0.9, None, cfg) == 0.0
+        assert pair_cost(None, None, box, 0.9, cfg) == 0.0
 
     def test_perfect_prediction_near_zero(self):
         cfg = LossConfig()
         box = BoundingBox(0.1, 0.1, 0.5, 0.5)
-        cost = pair_cost(box, np.array([1.0]), box, 1.0 - 1e-9, None, cfg)
+        cost = pair_cost(box, np.array([1.0]), box, 1.0 - 1e-9, cfg)
         assert cost < 1e-4
 
     def test_composed_hand_value(self):
@@ -79,7 +103,7 @@ class TestPairCost:
         pred = BoundingBox(0, 0, 0.5, 1)
         h_prob = 0.5  # logit 0
         expected = 0.25 * 0.25 * math.log(2.0) + 5.0 * 0.5 + 2.0 * 0.5
-        got = pair_cost(gt, np.array([1.0]), pred, h_prob, None, cfg)
+        got = pair_cost(gt, np.array([1.0]), pred, h_prob, cfg)
         assert got == pytest.approx(expected, abs=1e-9)
 
     def test_nonnegative_for_calibrated_scores(self):
@@ -89,7 +113,7 @@ class TestPairCost:
             c = gen.uniform(0, 0.6, size=(2, 2))
             a = BoundingBox(c[0, 0], c[0, 1], c[0, 0] + 0.3, c[0, 1] + 0.3)
             b = BoundingBox(c[1, 0], c[1, 1], c[1, 0] + 0.2, c[1, 1] + 0.2)
-            assert pair_cost(a, np.array([1.0]), b, gen.uniform(0.01, 0.99), None, cfg) >= 0.0
+            assert pair_cost(a, np.array([1.0]), b, gen.uniform(0.01, 0.99), cfg) >= 0.0
 
 
 class TestHungarian:
@@ -164,14 +188,7 @@ class TestMatch:
         for _ in range(20):
             gts, preds = random_instance(gen, k=4, gt_count=4)
             res = match(gts, preds, cfg)
-            cost = np.zeros((4, 4))
-            for i in range(4):
-                for j in range(4):
-                    cost[i, j] = pair_cost(
-                        gts.boxes[i], gts.labels[i], preds.boxes[j],
-                        float(preds.person_scores[j]), preds.action_logits[:, j], cfg,
-                    )
-            best_cost, _ = brute_force_assignment(cost)
+            best_cost, _ = brute_force_assignment(cost_matrix(gts, preds, cfg))
             assert res.total_cost == pytest.approx(best_cost, abs=1e-9)
 
     def test_single_target_takes_argmin(self):
@@ -179,12 +196,30 @@ class TestMatch:
         gen = RngStream(43).generator()
         gts, preds = random_instance(gen, k=4, gt_count=1)
         res = match(gts, preds, cfg)
-        costs = [
-            pair_cost(gts.boxes[0], gts.labels[0], preds.boxes[j],
-                      float(preds.person_scores[j]), preds.action_logits[:, j], cfg)
-            for j in range(4)
-        ]
+        costs = cost_matrix(gts, preds, cfg)[0]
         assert res.sigma[0] == int(np.argmin(costs))
+
+    @pytest.mark.parametrize("mode", ["person", "action", "both"])
+    def test_cost_matrix_matches_scalar_oracle(self, mode):
+        cfg = LossConfig(cost_mode=mode)
+        gen = RngStream(67).generator()
+        for _ in range(20):
+            gts, preds = random_instance(gen, k=5, gt_count=3)
+            got = cost_matrix(gts, preds, cfg)
+            for i in range(5):
+                for j in range(5):
+                    if i >= gts.count:
+                        assert got[i, j] == 0.0
+                        continue
+                    a, b = gts.boxes[i], preds.boxes[j]
+                    expected = 5.0 * box_l1(a, b) + 2.0 * (1.0 - giou(a, b))
+                    if mode != "action":
+                        h = float(preds.person_scores[j])
+                        expected += scalar_focal(math.log(h / (1.0 - h)), 1, cfg)
+                    if mode != "person":
+                        for k, label in enumerate(gts.labels[i]):
+                            expected += scalar_focal(preds.action_logits[k, j], int(label), cfg)
+                    assert got[i, j] == pytest.approx(expected, rel=1e-12)
 
     def test_matching_ignores_action_logits_in_person_mode(self):
         cfg = LossConfig(cost_mode="person")
@@ -248,7 +283,7 @@ class TestSetLoss:
         expected = 0.0
         for i, labels in enumerate(gts.labels):
             for k in range(2):
-                expected += focal_loss(logits[k, sigma[i]], int(labels[k]), cfg)
+                expected += scalar_focal(logits[k, sigma[i]], int(labels[k]), cfg)
         got = set_loss(gts, ad.Tensor(logits), sigma, cfg).item()
         assert got == pytest.approx(expected, rel=1e-12)
 

@@ -47,7 +47,6 @@ class TestOptimizerConfig:
         cfg = OptimizerConfig()
         assert cfg.weight_decay == 1e-4
         assert cfg.decay_factor == 0.1
-        assert cfg.backbone_lr == 1e-5
 
     def test_paper_schedule_echo(self):
         cfg = OptimizerConfig.paper_schedule()
