@@ -95,11 +95,6 @@ def _wrap(arr: np.ndarray, parents: tuple = (), backward: Callable | None = None
     return t
 
 
-def tensor(data) -> Tensor:
-    """Create a leaf tensor from array-like data."""
-    return Tensor(data)
-
-
 class Parameter:
     """Named trainable leaf with a persistent gradient buffer."""
 
@@ -118,10 +113,6 @@ class Parameter:
         if self.value.grad is None:
             return np.zeros(self.value.shape)
         return self.value.grad
-
-    @property
-    def gradient(self) -> Tensor:
-        return Tensor(self.grad)
 
     def zero_grad(self):
         self.value.grad = None

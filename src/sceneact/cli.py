@@ -4,7 +4,8 @@ Subcommands: ``generate`` (deterministic dataset files), ``train``
 (phase short or long), ``eval`` (ablation sweeps over sampling
 threshold, temporal support, aggregation strategy), ``inspect`` (raw
 attention export for one clip). Exit codes: 0 success, 1 validation or
-configuration error, 2 runtime abort (non-finite loss, I/O failure).
+configuration error, 2 runtime abort (non-finite loss, with diagnostics
+in ``nan_abort.json`` under ``--out``; I/O failure).
 
 All outputs are pure functions of the config seed; no wall-clock or
 environment state leaks into files.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import sys
@@ -64,7 +66,12 @@ def _ensure_out_dir(path: Path, force: bool):
     path.mkdir(parents=True, exist_ok=True)
 
 
-def _load_dataset_dir(dataset_dir) -> tuple[Dataset, RunConfig]:
+def _load_dataset_dir(dataset_dir, config_path=None) -> tuple[Dataset, RunConfig]:
+    """Check the manifest, then regenerate its dataset.
+
+    A ``config_path`` replaces the manifest's run configuration, but its
+    scenario (seed included) must be the one the dataset was made from.
+    """
     manifest_path = Path(dataset_dir) / "manifest.json"
     if not manifest_path.exists():
         raise ConfigError(f"no manifest.json under {dataset_dir}")
@@ -72,6 +79,16 @@ def _load_dataset_dir(dataset_dir) -> tuple[Dataset, RunConfig]:
     cfg = config_from_dict(manifest["config"])
     if manifest.get("config_hash") != config_hash(cfg):
         raise ValidationError(f"manifest config hash mismatch in {dataset_dir}")
+    if config_path:
+        given = load_config(config_path)
+        differ = [f.name for f in dataclasses.fields(cfg.scenario)
+                  if getattr(given.scenario, f.name) != getattr(cfg.scenario, f.name)]
+        if differ:
+            raise ConfigError(
+                f"{config_path}: scenario differs from the manifest in {dataset_dir} "
+                f"on {differ}"
+            )
+        cfg = given
     return generate_dataset(cfg.scenario), cfg
 
 
@@ -98,9 +115,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    dataset, cfg = _load_dataset_dir(args.dataset)
-    if args.config:
-        cfg = load_config(args.config)
+    dataset, cfg = _load_dataset_dir(args.dataset, args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dump_config(cfg, out / "resolved_config.json")
@@ -240,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(fn=cmd_generate)
 
     p_train = sub.add_parser("train", help="train the model (short) or weights (long)")
-    p_train.add_argument("--config")
+    p_train.add_argument("--config", help="run config; its scenario must match the dataset's")
     p_train.add_argument("--dataset", required=True)
     p_train.add_argument("--out", required=True)
     p_train.add_argument("--phase", choices=["short", "long"], default="short")
@@ -284,7 +299,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NanLossError as exc:
-        diag_path = Path("nan_abort.json")
+        diag_path = Path(args.out) / "nan_abort.json"
         diag_path.write_text(json.dumps(exc.diagnostics, sort_keys=True, indent=2) + "\n")
         print(f"abort: {exc} (diagnostics in {diag_path})", file=sys.stderr)
         return EXIT_RUNTIME

@@ -9,10 +9,14 @@ equalities hold bit-for-bit.
 
 Phase-2 training ("long-term") freezes the relation model entirely: the
 per-window scores become constants, and only the aggregation weights
-receive gradient. The fused score is a probability, so it enters the
-focal classification loss through its clamped logit; the weights are kept
-non-negative, so fusion never inverts the ranking within a class, and the
-fit starts from the one-hot keyframe weights, i.e. the short-term model.
+receive gradient. The scores of every training clip are computed and
+matched to the keyframe truth once, then stacked, so each epoch's
+objective is one tape expression over constant arrays, whatever the
+number of clips or windows. The fused score is a probability, so it
+enters the focal classification loss through its clamped logit; the
+weights are kept non-negative, so fusion never inverts the ranking within
+a class, and the fit starts from the one-hot keyframe weights, i.e. the
+short-term model.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ import numpy as np
 from . import autodiff as ad
 from . import model as mdl
 from .errors import ConfigError, ContractError
-from .matching import LossConfig, match, set_loss
+from .matching import LossConfig, match
+from .rng import RngStream
 from .synthdata import ClipSample, ground_truth_set, window_grid
 
 log = logging.getLogger(__name__)
@@ -120,17 +125,14 @@ def run_windowed(
     clip: ClipSample,
     windowing: WindowingConfig,
     grid_t: int,
-    rng=None,
 ) -> WindowedScores:
     """Inference over every window; boxes and proposals stay the keyframe's."""
-    from .rng import RngStream
-
-    rng = rng or RngStream(0)
     per_window = []
     with ad.no_grad():
         for n, interval in windows(windowing, clip.keyframe_time):
             grid = window_grid(clip, interval, grid_t)
-            logits = mdl.forward_actions(params, cfg, clip.proposals, grid, rng, training=False)
+            logits = mdl.forward_actions(params, cfg, clip.proposals, grid, RngStream(0),
+                                         training=False)
             per_window.append(ad._sigmoid(logits.data))
     return WindowedScores(clip, tuple(windowing.offsets), np.stack(per_window))
 
@@ -187,43 +189,28 @@ def aggregate(
     return (w * scores).sum(axis=0)
 
 
-def aggregation_logits(
-    weight_param: ad.Parameter, scores: np.ndarray
-) -> ad.Tensor:
-    """Tape expression of the logits of the fused scores, (num_classes, K).
-
-    The fused value sum_n w_n * s_n is a probability, since the scores
-    s_n (num_windows, num_classes, K) are post-sigmoid; it is mapped to
-    logit space with the same clamp as the keyframe matching, so the set
-    loss scores it as a probability. The scores are constants;
-    gradient flows only into the weight parameter.
-    """
-    n_win, n_cls, k = scores.shape
-    rows = []
-    for n in range(n_win):
-        w_row = ad.reshape(ad.narrow(weight_param.value, 0, n, n + 1), (n_cls,))
-        s_n = ad.Tensor(scores[n].T)  # (K, num_classes)
-        rows.append(ad.mul_rowvec(s_n, w_row))
-    total = rows[0]
-    for r in rows[1:]:
-        total = ad.add(total, r)
-    return ad.logit(ad.transpose(total), _PROB_EPS)  # (num_classes, K)
-
-
 def aggregation_loss(
     weight_param: ad.Parameter,
-    clips_scores: list[WindowedScores],
-    sigmas: list,
-    gt_sets: list,
+    scores: np.ndarray,
+    targets: np.ndarray,
     loss_cfg: LossConfig,
 ) -> ad.Tensor:
-    """Mean per-clip set loss of the fused scores, differentiable in the weights."""
-    total = None
-    for ws, sigma, gts in zip(clips_scores, sigmas, gt_sets):
-        fused = aggregation_logits(weight_param, ws.scores)
-        loss = set_loss(gts, fused, sigma, loss_cfg)
-        total = loss if total is None else ad.add(total, loss)
-    return ad.scale(total, 1.0 / len(clips_scores))
+    """Mean per-clip focal set loss of the fused scores, differentiable in the weights.
+
+    ``scores`` (clips, windows, classes, K) and ``targets`` (clips, K,
+    classes) come from ``precompute_windowed``, already in matched order.
+    The fused value sum_n w_n * s_n is a probability, so it is mapped to
+    logit space with the clamp of the keyframe matching. The scores are
+    constants; gradient flows only into the weight parameter. The graph
+    has the same few nodes for any number of clips and windows.
+    """
+    n_clips, n_win, n_cls, k = scores.shape
+    rows = ad.Tensor(scores.transpose(0, 3, 1, 2).reshape(n_clips, k, n_win * n_cls))
+    weighted = ad.mul_rowvec(rows, ad.reshape(weight_param.value, (n_win * n_cls,)))
+    fused = ad.reduce_sum(ad.reshape(weighted, (n_clips, k, n_win, n_cls)), axis=2)
+    focal = ad.focal_from_logits(ad.logit(fused, _PROB_EPS), targets,
+                                 loss_cfg.focal_alpha, loss_cfg.focal_gamma)
+    return ad.scale(ad.reduce_sum(focal), 1.0 / n_clips)
 
 
 def precompute_windowed(
@@ -233,9 +220,15 @@ def precompute_windowed(
     windowing: WindowingConfig,
     grid_t: int,
     loss_cfg: LossConfig,
-):
-    """Frozen-model pass: per-clip window scores, matches, and padded truth."""
-    all_scores, sigmas, gt_sets = [], [], []
+) -> tuple[np.ndarray, np.ndarray]:
+    """Frozen-model pass: stacked window scores and padded truth, in matched order.
+
+    Returns ``scores`` (clips, windows, classes, K), whose proposal axis is
+    permuted by each clip's keyframe match so that column i is the
+    prediction matched to padded target i, and ``targets`` (clips, K,
+    classes), the 0/1 labels with all-zero padding rows.
+    """
+    all_scores, all_targets = [], []
     for clip in clips:
         ws = run_windowed(params, cfg, clip, windowing, grid_t)
         keyframe_ix = ws.offsets.index(0)
@@ -244,10 +237,11 @@ def precompute_windowed(
         )
         gts = ground_truth_set(clip, len(clip.proposals))
         sigma = match(gts, preds, loss_cfg).sigma
-        all_scores.append(ws)
-        sigmas.append(sigma)
-        gt_sets.append(gts)
-    return all_scores, sigmas, gt_sets
+        all_scores.append(ws.scores[:, :, list(sigma)])
+        targets = np.zeros((gts.total, ws.scores.shape[1]))
+        targets[: gts.count] = gts.labels
+        all_targets.append(targets)
+    return np.stack(all_scores), np.stack(all_targets)
 
 
 def train_aggregation(
@@ -266,22 +260,22 @@ def train_aggregation(
     The fit starts from ``AggregationWeights.initial`` (exactly the
     short-term model), and after each optimizer step the weights are
     projected onto w >= 0. The model parameters are hashed before and
-    after; any drift is a contract violation. Window scores are
-    precomputed once since the frozen model makes them constants.
+    after; any drift is a contract violation. Window scores and matches
+    are precomputed once, since the frozen model makes them constants;
+    each epoch then builds one ``aggregation_loss`` expression over all
+    clips and takes one full-batch AdamW step.
     """
     from .checkpoint import params_hash
     from .training import AdamW
 
     before = params_hash({p.name: p.value.data for p in params.parameters()})
-    scores, sigmas, gt_sets = precompute_windowed(
-        params, cfg, clips, windowing, grid_t, loss_cfg
-    )
+    scores, targets = precompute_windowed(params, cfg, clips, windowing, grid_t, loss_cfg)
     init = AggregationWeights.initial(windowing, cfg.num_classes)
     weight_param = ad.Parameter("aggregation.weights", init.weights)
     opt = AdamW([weight_param], lr=lr, weight_decay=weight_decay)
     for _epoch in range(epochs):
         weight_param.zero_grad()
-        ad.backward(aggregation_loss(weight_param, scores, sigmas, gt_sets, loss_cfg))
+        ad.backward(aggregation_loss(weight_param, scores, targets, loss_cfg))
         opt.step()
         weight_param.assign(np.maximum(weight_param.value.data, 0.0))
     after = params_hash({p.name: p.value.data for p in params.parameters()})

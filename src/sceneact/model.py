@@ -19,8 +19,7 @@ initialization sanity check used by the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -436,30 +435,6 @@ class PredictionSet:
     @property
     def action_scores(self) -> np.ndarray:
         return ad._sigmoid(self.action_logits)
-
-    @property
-    def count(self) -> int:
-        return len(self.boxes)
-
-    def confidence(self) -> np.ndarray:
-        """Person score times the best action score, per proposal."""
-        return self.person_scores * self.action_scores.max(axis=0)
-
-
-def select_final(pred: PredictionSet, k_prime: int) -> PredictionSet:
-    """Keep the k' most confident proposals; ties keep the lower index."""
-    if k_prime <= 0:
-        raise ConfigError(f"k_prime must be positive, got {k_prime}")
-    if k_prime > pred.count:
-        raise ContractError(f"k_prime {k_prime} exceeds proposal count {pred.count}")
-    conf = pred.confidence()
-    order = sorted(range(pred.count), key=lambda i: (-conf[i], i))[:k_prime]
-    order.sort()
-    return PredictionSet(
-        [pred.boxes[i] for i in order],
-        pred.person_scores[order],
-        pred.action_logits[:, order],
-    )
 
 
 def forward_actions(

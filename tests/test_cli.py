@@ -9,7 +9,7 @@ import pytest
 from sceneact import cli
 from sceneact.cli import main
 from sceneact.config import config_from_dict, config_hash, load_config
-from sceneact.errors import ConfigError
+from sceneact.errors import ConfigError, NanLossError
 
 
 TINY = {
@@ -118,6 +118,40 @@ class TestDatasetManifest:
         assert rc == 1
         assert calls == []
         assert "config hash mismatch" in capsys.readouterr().err
+
+    def test_train_config_scenario_must_match_manifest(self, workspace, tmp_path, monkeypatch,
+                                                       capsys):
+        _root, _cfg, data_dir, _out = workspace
+        other = dict(TINY, seed=TINY["seed"] + 1,
+                     scenario=dict(TINY["scenario"], train_clips=5))
+        cfg_path = write_config(tmp_path, other)
+        calls = []
+        monkeypatch.setattr(cli, "train_short_term", lambda *a, **kw: calls.append(a))
+        rc = main(["train", "--config", str(cfg_path), "--dataset", str(data_dir),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert calls == []
+        err = capsys.readouterr().err
+        assert "'seed'" in err and "'train_clips'" in err
+
+
+class TestNanAbort:
+    def test_diagnostics_written_under_out(self, workspace, tmp_path, monkeypatch):
+        _root, cfg_path, data_dir, _out = workspace
+
+        def diverge(*_a, **_kw):
+            raise NanLossError("non-finite loss", diagnostics={"step": 3})
+
+        monkeypatch.setattr(cli, "train_short_term", diverge)
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(cfg_path), "--dataset", str(data_dir),
+                   "--out", str(out)])
+        assert rc == 2
+        assert json.loads((out / "nan_abort.json").read_text()) == {"step": 3}
+        assert list(cwd.iterdir()) == []
 
 
 class TestTrainEvalInspect:

@@ -11,14 +11,13 @@ from sceneact.longterm import (
     WindowedScores,
     WindowingConfig,
     aggregate,
-    aggregation_logits,
     aggregation_loss,
     precompute_windowed,
     run_windowed,
     train_aggregation,
     windows,
 )
-from sceneact.matching import LossConfig
+from sceneact.matching import LossConfig, match, set_loss
 from sceneact.rng import RngStream
 from sceneact.synthdata import ScenarioConfig, generate_clip, generate_dataset, ground_truth_set
 from sceneact.checkpoint import params_hash
@@ -171,7 +170,7 @@ class TestAggregationTraining:
         loss_cfg = LossConfig()
         ds = generate_dataset(scenario)
         wcfg = WindowingConfig(1.05, 1.05, 2.0, 2.0, 1.0)
-        scores, sigmas, gt_sets = precompute_windowed(
+        scores, targets = precompute_windowed(
             params, cfg, ds.train[:2], wcfg, scenario.grid_t, loss_cfg
         )
         # Checked where every fit starts. At w = 0 every fused probability is
@@ -180,7 +179,7 @@ class TestAggregationTraining:
         w = ad.Parameter("agg", AggregationWeights.initial(wcfg, cfg.num_classes).weights)
 
         def f():
-            return aggregation_loss(w, scores, sigmas, gt_sets, loss_cfg)
+            return aggregation_loss(w, scores, targets, loss_cfg)
 
         report = ad.grad_check(f, [w], step=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_err
@@ -235,3 +234,73 @@ class TestAggregationTraining:
                                     LossConfig(), lr=2e-2, epochs=60)
         mass = np.abs(weights.weights).sum(axis=1)
         assert int(np.argmax(mass)) == weights.offsets.index(0)
+
+
+def per_clip_loss(params, cfg, clips, wcfg, grid_t, loss_cfg, w):
+    """Oracle: one windowed run, keyframe match and set loss per clip, averaged.
+
+    The fused scores are built on the tape window by window and checked
+    against ``aggregate``, so the oracle's gradient is a plain per-clip graph.
+    Returns the loss and the clips' matches.
+    """
+    total, sigmas = None, []
+    for clip in clips:
+        ws = run_windowed(params, cfg, clip, wcfg, grid_t)
+        keyframe = ws.scores[ws.offsets.index(0)]
+        preds = mdl.predictions_from_logits(clip.proposals, ad._logit(keyframe, 1e-9)[0])
+        gts = ground_truth_set(clip, len(clip.proposals))
+        sigma = match(gts, preds, loss_cfg).sigma
+        sigmas.append(sigma)
+        fused = None
+        for n in range(ws.scores.shape[0]):
+            term = ad.transpose(ad.mul_rowvec(ad.Tensor(ws.scores[n].T),
+                                              ad.reshape(ad.narrow(w.value, 0, n, n + 1), (-1,))))
+            fused = term if fused is None else ad.add(fused, term)
+        np.testing.assert_array_equal(
+            fused.data, aggregate(ws, AggregationWeights(ws.offsets, w.value.data)))
+        loss = set_loss(gts, ad.logit(fused, 1e-9), sigma, loss_cfg)
+        total = loss if total is None else ad.add(total, loss)
+    return ad.scale(total, 1.0 / len(clips)), sigmas
+
+
+class TestStackedAggregationLoss:
+    def setup_method(self):
+        # two actors per clip, so some matches are not the identity
+        self.scenario = small_scenario(train_clips=5, num_actors=(2, 3))
+        self.cfg, self.params = tiny_model(self.scenario)
+        self.clips = generate_dataset(self.scenario).train
+        self.loss_cfg = LossConfig()
+
+    def stacked(self, clips, wcfg):
+        return precompute_windowed(self.params, self.cfg, clips, wcfg, self.scenario.grid_t,
+                                   self.loss_cfg)
+
+    def test_equals_per_clip_oracle_in_value_and_gradient(self):
+        wcfg = WindowingConfig(1.05, 1.05, 2.0, 2.0, 1.0)
+        scores, targets = self.stacked(self.clips, wcfg)
+        initial = AggregationWeights.initial(wcfg, self.cfg.num_classes).weights
+        rand = RngStream(11).generator().uniform(0.0, 1.5 / wcfg.num_windows, initial.shape)
+        for start in (initial, rand):
+            w = ad.Parameter("agg", start)
+            oracle, sigmas = per_clip_loss(self.params, self.cfg, self.clips, wcfg,
+                                           self.scenario.grid_t, self.loss_cfg, w)
+            ad.backward(oracle)
+            g_oracle = w.grad.copy()
+            w.zero_grad()
+            stacked = aggregation_loss(w, scores, targets, self.loss_cfg)
+            ad.backward(stacked)
+            assert any(sigma != tuple(range(len(sigma))) for sigma in sigmas)
+            assert stacked.item() == pytest.approx(oracle.item(), rel=1e-12)
+            assert np.any(g_oracle != 0.0)
+            np.testing.assert_allclose(w.grad, g_oracle, rtol=1e-12,
+                                       atol=1e-12 * np.abs(g_oracle).max())
+
+    def test_graph_size_independent_of_clips_and_windows(self):
+        def nodes(n_clips, long_span):
+            wcfg = WindowingConfig(1.05, 1.05, long_span, long_span, 1.0)
+            scores, targets = self.stacked(self.clips[:n_clips], wcfg)
+            w = ad.Parameter("agg", AggregationWeights.initial(wcfg, self.cfg.num_classes).weights)
+            return len(ad._topo_order(aggregation_loss(w, scores, targets, self.loss_cfg)))
+
+        assert nodes(2, 1.0) == nodes(4, 1.0)  # 3 windows
+        assert nodes(2, 1.0) == nodes(2, 2.0)  # 3 against 5 windows

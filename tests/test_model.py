@@ -290,41 +290,6 @@ class TestClassify:
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
-class TestSelectFinal:
-    def make_preds(self, person, logits):
-        boxes = [BoundingBox(0.1 * i + 0.05, 0.1, 0.1 * i + 0.14, 0.3)
-                 for i in range(len(person))]
-        return mdl.PredictionSet(boxes, np.array(person), np.array(logits))
-
-    def test_keep_all_is_identity(self):
-        gen = RngStream(37).generator()
-        preds = self.make_preds(gen.uniform(0, 1, 4), gen.normal(size=(3, 4)))
-        out = mdl.select_final(preds, 4)
-        assert out.boxes == preds.boxes
-        np.testing.assert_array_equal(out.action_logits, preds.action_logits)
-
-    def test_single_confident_winner(self):
-        preds = self.make_preds([0.0, 1.0, 0.0], [[-9, 9, -9]] * 2)
-        out = mdl.select_final(preds, 1)
-        assert out.boxes[0] == preds.boxes[1]
-
-    def test_matches_sort_oracle(self):
-        gen = RngStream(38).generator()
-        for _ in range(30):
-            preds = self.make_preds(gen.uniform(0, 1, 6), gen.normal(size=(4, 6)))
-            k = int(gen.integers(1, 7))
-            conf = preds.person_scores * preds.action_scores.max(axis=0)
-            expected = sorted(sorted(range(6), key=lambda i: (-conf[i], i))[:k])
-            out = mdl.select_final(preds, k)
-            assert [preds.boxes[i] for i in expected] == out.boxes
-
-    def test_invalid_k_prime_rejected(self):
-        gen = RngStream(39).generator()
-        preds = self.make_preds(gen.uniform(0, 1, 3), gen.normal(size=(2, 3)))
-        with pytest.raises(ConfigError):
-            mdl.select_final(preds, 0)
-
-
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         cfg = tiny_cfg()
