@@ -286,9 +286,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Stabilized softmax along one axis."""
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
 
     def bwd(g):
         dot = (g * y).sum(axis=axis, keepdims=True)

@@ -219,6 +219,7 @@ def _weights_for(state: TrainState, windowing: WindowingConfig,
 
 
 def cmd_inspect(args) -> int:
+    """Export attention, actors first; the unified last layer is (K, K + N), not (K + N, K + N)."""
     dataset, cfg = _load_dataset_dir(args.dataset)
     state, model_cfg, scenario = load_train_state(args.checkpoint, cfg.optimizer)
     clip = dataset.clip(args.clip)
@@ -280,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--variant", choices=["unified", "decoder_only", "encoder_decoder"])
     p_eval.set_defaults(fn=cmd_eval)
 
-    p_ins = sub.add_parser("inspect", help="export raw attention for one clip")
+    p_ins = sub.add_parser("inspect", help="export raw attention for one clip "
+                           "(unified last layer: actor queries only)")
     p_ins.add_argument("--checkpoint", required=True)
     p_ins.add_argument("--dataset", required=True)
     p_ins.add_argument("--clip", required=True)

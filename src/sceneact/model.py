@@ -11,6 +11,11 @@ classification head:
 * encoder_decoder -- scene tokens are self-encoded first, then actor
                   tokens run self-attention plus cross-attention blocks.
 
+The unified stack's last block queries with the K actor rows, the only
+rows the head reads; its keys and values still cover all K + N tokens.
+This is exact: all but keys and values is row-wise, and Philox fills in C
+order, so a (K, ...) dropout mask is the first K rows of the (K + N, ...) one.
+
 Blocks are pre-norm residual: z = Attn(LN(x)) + x, x' = MLP(LN(z)) + z.
 Zeroing every residual-branch output layer (attention output projection
 and second MLP layer) makes each stack an exact identity, which is the
@@ -19,6 +24,7 @@ initialization sanity check used by the tests.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,15 +65,6 @@ class ModelConfig:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not self.pre_norm:
             raise ConfigError("only pre-norm blocks are supported")
-
-
-@dataclass
-class TokenSequence:
-    """Concatenated embeddings: first K columns actors, next N scene."""
-
-    tokens: Tensor  # (D, K + N)
-    actor_count: int
-    scene_count: int
 
 
 @dataclass
@@ -237,8 +234,9 @@ def zero_residual_projections(params: ModelParams):
 # embeddings
 
 
+@functools.lru_cache(maxsize=8)
 def sinusoidal_pe(n: int, d: int) -> np.ndarray:
-    """(d, n) positional code: channel pairs (sin, cos) at geometric frequencies."""
+    """Read-only (d, n) positional code: (sin, cos) channel pairs at geometric frequencies."""
     if d % 2 != 0:
         raise ConfigError(f"positional encoding needs an even dimension, got {d}")
     pos = np.arange(n)
@@ -247,6 +245,7 @@ def sinusoidal_pe(n: int, d: int) -> np.ndarray:
     pe = np.empty((d, n))
     pe[0::2] = np.sin(angles)
     pe[1::2] = np.cos(angles)
+    pe.setflags(write=False)
     return pe
 
 
@@ -298,17 +297,15 @@ def _mha(
 ) -> Tensor:
     d = cfg.embed_dim
     dh = d // cfg.heads
-    q = _linear_rows(q_rows, attn.wq, attn.bq)
+    q = ad.scale(_linear_rows(q_rows, attn.wq, attn.bq), 1.0 / np.sqrt(dh))
     k = _linear_rows(kv_rows, attn.wk, attn.bk)
     v = _linear_rows(kv_rows, attn.wv, attn.bv)
     outs = []
-    inv_sqrt = 1.0 / np.sqrt(dh)
     for h in range(cfg.heads):
         qh = ad.narrow(q, 1, h * dh, (h + 1) * dh)
         kh = ad.narrow(k, 1, h * dh, (h + 1) * dh)
         vh = ad.narrow(v, 1, h * dh, (h + 1) * dh)
-        scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), inv_sqrt)
-        weights = ad.softmax(scores, axis=-1)
+        weights = ad.softmax(ad.matmul(qh, ad.transpose(kh)), axis=-1)
         if sink is not None:
             sink.append((layer, h, weights.data.copy()))
         weights = ad.dropout(weights, cfg.dropout, rng.child(0, h), training)
@@ -336,10 +333,8 @@ def _encoder_block(
 ) -> Tensor:
     """Pre-norm residual block; with ``kv`` the attention is cross-attention."""
     normed = ad.layer_norm(x, blk.ln1_gain.value, blk.ln1_bias.value, LAYER_NORM_EPS)
-    if kv is None:
-        kv_normed = normed
-    else:
-        kv_normed = ad.layer_norm(kv, blk.ln1_gain.value, blk.ln1_bias.value, LAYER_NORM_EPS)
+    kv_normed = normed if kv is None else ad.layer_norm(
+        kv, blk.ln1_gain.value, blk.ln1_bias.value, LAYER_NORM_EPS)
     z = ad.add(x, _mha(normed, kv_normed, blk.attn, cfg, rng, training, sink, layer))
     z_normed = ad.layer_norm(z, blk.ln2_gain.value, blk.ln2_bias.value, LAYER_NORM_EPS)
     return ad.add(z, _mlp(z_normed, blk, cfg, rng, training))
@@ -365,20 +360,27 @@ def _decoder_block(
 
 
 def encode(
-    seq: TokenSequence,
+    actor_tokens: Tensor,
+    scene_tokens: Tensor | None,
     params: ModelParams,
     cfg: ModelConfig,
     rng: RngStream,
     training: bool = False,
     attn_sink: list | None = None,
-) -> TokenSequence:
-    """Run the unified stack over all K + N tokens."""
+) -> Tensor:
+    """Run the unified stack over all K + N tokens; returns the refined actor tokens (D, K)."""
     if cfg.variant != "unified":
         raise ContractError(f"encode handles the unified variant, not {cfg.variant!r}")
-    x = ad.transpose(seq.tokens)  # (K+N, D)
-    for l, blk in enumerate(params.blocks):
+    x = actor_tokens if scene_tokens is None else ad.concat([actor_tokens, scene_tokens], axis=1)
+    x = ad.transpose(x)  # (K+N, D)
+    last = len(params.blocks) - 1
+    for l, blk in enumerate(params.blocks[:last]):
         x = _encoder_block(x, blk, cfg, rng.child(l), training, attn_sink, l)
-    return TokenSequence(ad.transpose(x), seq.actor_count, seq.scene_count)
+    actors = ad.narrow(x, 0, 0, actor_tokens.shape[1])
+    if last >= 0:
+        actors = _encoder_block(actors, params.blocks[last], cfg, rng.child(last), training,
+                                attn_sink, last, kv=x)
+    return ad.transpose(actors)
 
 
 def encode_variant(
@@ -454,12 +456,7 @@ def forward_actions(
     a = embed_actors(proposals, params)
     v = embed_scene(grid, params) if grid is not None else None
     if cfg.variant == "unified":
-        if v is None:
-            seq = TokenSequence(a, len(proposals), 0)
-        else:
-            seq = TokenSequence(ad.concat([a, v], axis=1), len(proposals), v.shape[1])
-        encoded = encode(seq, params, cfg, rng, training, attn_sink)
-        actors = ad.narrow(encoded.tokens, 1, 0, seq.actor_count)
+        actors = encode(a, v, params, cfg, rng, training, attn_sink)
     else:
         if v is None:
             raise ContractError("non-unified variants require scene tokens")

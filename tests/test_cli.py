@@ -248,6 +248,27 @@ class TestTrainEvalInspect:
         for total in sums.values():
             assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_inspect_last_layer_queries_actor_rows_only(self, workspace, tmp_path):
+        _root, _cfg, data_dir, _out = workspace
+        two_layer = dict(TINY, model=dict(TINY["model"], layers=2))
+        cfg_path = write_config(tmp_path, two_layer)
+        run_dir = tmp_path / "run2"
+        assert main(["train", "--config", str(cfg_path), "--dataset", str(data_dir),
+                     "--out", str(run_dir)]) == 0
+        out_csv = tmp_path / "attn.csv"
+        assert main(["inspect", "--checkpoint", str(run_dir / "best.ckpt"), "--dataset",
+                     str(data_dir), "--clip", "eval_0000", "--attention", str(out_csv)]) == 0
+        queries, keys = {}, {}
+        for r in csv.DictReader(out_csv.open()):
+            queries.setdefault(r["layer"], set()).add(int(r["query"]))
+            keys.setdefault(r["layer"], set()).add(int(r["key"]))
+        k = TINY["scenario"]["proposal_count"]
+        tokens = len(keys["0"])
+        assert tokens > k
+        assert queries["0"] == keys["0"] == set(range(tokens))
+        assert queries["1"] == set(range(k))
+        assert keys["1"] == set(range(tokens))
+
     def test_inspect_unknown_clip(self, workspace, tmp_path):
         _root, _cfg, data_dir, out_dir = workspace
         rc = main(["inspect", "--checkpoint", str(out_dir / "best.ckpt"), "--dataset",

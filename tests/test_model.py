@@ -133,29 +133,23 @@ class TestEncode:
             mdl.zero_residual_projections(params)
             a = ad.Tensor(gen.standard_normal((8, 4)))
             v = ad.Tensor(gen.standard_normal((8, 7)))
-            if variant == "unified":
-                seq = mdl.TokenSequence(ad.concat([a, v], axis=1), 4, 7)
-                out = mdl.encode(seq, params, cfg, RngStream(0)).tokens.data
-                assert np.array_equal(out, np.concatenate([a.data, v.data], axis=1))
-            else:
-                out = mdl.encode_variant(a, v, params, cfg, RngStream(0)).data
-                assert np.array_equal(out, a.data)
+            encode = mdl.encode if variant == "unified" else mdl.encode_variant
+            out = encode(a, v, params, cfg, RngStream(0)).data
+            assert np.array_equal(out, a.data)
 
     def test_zero_layers_identity(self):
         cfg = tiny_cfg(layers=0)
         params = mdl.init_params(cfg, 5, 6, RngStream(15))
-        x = ad.Tensor(RngStream(16).generator().standard_normal((8, 5)))
-        seq = mdl.TokenSequence(x, 2, 3)
-        out = mdl.encode(seq, params, cfg, RngStream(0))
-        assert np.array_equal(out.tokens.data, x.data)
+        x = RngStream(16).generator().standard_normal((8, 5))
+        out = mdl.encode(ad.Tensor(x[:, :2]), ad.Tensor(x[:, 2:]), params, cfg, RngStream(0))
+        assert np.array_equal(out.data, x[:, :2])
 
     def test_hand_rolled_attention_oracle(self):
         cfg = mdl.ModelConfig(embed_dim=4, layers=1, heads=1, ffn_dim=8, dropout=0.0,
                               num_classes=2)
         params = mdl.init_params(cfg, 3, 3, RngStream(17))
         x = RngStream(18).generator().standard_normal((4, 3))
-        out = mdl.encode(mdl.TokenSequence(ad.Tensor(x), 3, 0), params, cfg,
-                         RngStream(0)).tokens.data
+        out = mdl.encode(ad.Tensor(x), None, params, cfg, RngStream(0)).data
 
         def ln(v, gain, bias, eps=1e-5):
             mu = v.mean()
@@ -186,7 +180,7 @@ class TestEncode:
         a = ad.Tensor(gen.standard_normal((8, 2)))
         v = ad.Tensor(gen.standard_normal((8, 3)))
         with pytest.raises(ContractError):
-            mdl.encode(mdl.TokenSequence(a, 2, 0), params, cfg, RngStream(0))
+            mdl.encode(a, None, params, cfg, RngStream(0))
         uni = tiny_cfg()
         uni_params = mdl.init_params(uni, 5, 6, RngStream(21))
         with pytest.raises(ContractError):
@@ -223,12 +217,8 @@ class TestEncode:
         a = gen.standard_normal((8, 4))
         v = gen.standard_normal((8, 5))
         perm = [2, 0, 3, 1]
-        seq = mdl.TokenSequence(ad.Tensor(np.concatenate([a, v], axis=1)), 4, 5)
-        base = mdl.encode(seq, params, cfg, RngStream(0)).tokens.data
-        seq_p = mdl.TokenSequence(
-            ad.Tensor(np.concatenate([a[:, perm], v], axis=1)), 4, 5
-        )
-        out_p = mdl.encode(seq_p, params, cfg, RngStream(0)).tokens.data
+        base = mdl.encode(ad.Tensor(a), ad.Tensor(v), params, cfg, RngStream(0)).data
+        out_p = mdl.encode(ad.Tensor(a[:, perm]), ad.Tensor(v), params, cfg, RngStream(0)).data
         np.testing.assert_allclose(out_p[:, :4], base[:, perm], atol=1e-10)
 
     def test_shape_contract(self):
@@ -236,9 +226,9 @@ class TestEncode:
         params = mdl.init_params(cfg, 5, 6, RngStream(28))
         gen = RngStream(29).generator()
         for k, n in [(1, 1), (3, 7), (5, 2)]:
-            seq = mdl.TokenSequence(ad.Tensor(gen.standard_normal((8, k + n))), k, n)
-            out = mdl.encode(seq, params, cfg, RngStream(0))
-            assert out.tokens.shape == (8, k + n)
+            x = gen.standard_normal((8, k + n))
+            out = mdl.encode(ad.Tensor(x[:, :k]), ad.Tensor(x[:, k:]), params, cfg, RngStream(0))
+            assert out.shape == (8, k)
         logits = mdl.classify(ad.Tensor(gen.standard_normal((8, 4))), params)
         assert logits.shape == (3, 4)
 
@@ -247,11 +237,78 @@ class TestEncode:
         params = mdl.init_params(cfg, 5, 6, RngStream(30))
         gen = RngStream(31).generator()
         sink = []
-        seq = mdl.TokenSequence(ad.Tensor(gen.standard_normal((8, 6))), 2, 4)
-        mdl.encode(seq, params, cfg, RngStream(0), attn_sink=sink)
+        x = gen.standard_normal((8, 6))
+        mdl.encode(ad.Tensor(x[:, :2]), ad.Tensor(x[:, 2:]), params, cfg, RngStream(0),
+                   attn_sink=sink)
         assert len(sink) == cfg.layers * cfg.heads
         for _, _, w in sink:
             np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-9)
+
+
+def full_stack_logits(params, cfg, props, grid, rng, training):
+    """Reference unified forward: every block over all K + N rows, actor columns read last."""
+    a = mdl.embed_actors(props, params)
+    tokens = a if grid is None else ad.concat([a, mdl.embed_scene(grid, params)], axis=1)
+    x = ad.transpose(tokens)
+    for l, blk in enumerate(params.blocks):
+        x = mdl._encoder_block(x, blk, cfg, rng.child(l), training, None, l)
+    return mdl.classify(ad.narrow(ad.transpose(x), 1, 0, len(props)), params)
+
+
+class TestActorRowLastBlock:
+    """The last unified block queries with the K actor rows only; the head sees
+    the same logits and every parameter the same gradient as the full stack."""
+
+    @pytest.mark.parametrize("scene", [True, False], ids=["scene", "scene_blind"])
+    @pytest.mark.parametrize("layers", [0, 1, 3])
+    def test_matches_full_stack_oracle(self, layers, scene):
+        cfg = tiny_cfg(layers=layers, dropout=0.3)
+        params = mdl.init_params(cfg, 5, 6, RngStream(50))
+        gen = RngStream(51).generator()
+        props = make_proposals(gen, k=3)
+        grid = make_grid(gen, h=2, w=3) if scene else None
+        loss_w = ad.Tensor(gen.standard_normal(3))
+        rng = RngStream(52)
+
+        def narrowed(training):
+            return mdl.forward_actions(params, cfg, props, grid, rng, training)
+
+        def oracle(training):
+            return full_stack_logits(params, cfg, props, grid, rng, training)
+
+        with ad.no_grad():
+            eval_logits = narrowed(False).data
+            np.testing.assert_allclose(eval_logits, oracle(False).data, rtol=0, atol=1e-12)
+
+        runs = []
+        for fwd in (narrowed, oracle):
+            for p in params.parameters():
+                p.zero_grad()
+            logits = fwd(True)
+            ad.backward(ad.reduce_sum(ad.mul_rowvec(logits, loss_w)))
+            runs.append((logits.data, {p.name: p.grad.copy() for p in params.parameters()}))
+        (logits, grads), (ref_logits, ref_grads) = runs
+        if layers:
+            assert not np.allclose(logits, eval_logits)  # dropout is live
+        np.testing.assert_allclose(logits, ref_logits, rtol=0, atol=1e-12)
+        for name, g in ref_grads.items():
+            np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_grad_check_through_actor_row_block(self):
+        cfg = tiny_cfg(layers=1, dropout=0.3)
+        params = mdl.init_params(cfg, 5, 6, RngStream(53))
+        gen = RngStream(54).generator()
+        props = make_proposals(gen, k=3)
+        grid = make_grid(gen)
+        loss_w = ad.Tensor(gen.standard_normal(3))
+
+        def f():
+            # a fixed dropout stream makes the training-mode forward deterministic
+            logits = mdl.forward_actions(params, cfg, props, grid, RngStream(55), training=True)
+            return ad.reduce_sum(ad.mul_rowvec(logits, loss_w))
+
+        report = ad.grad_check(f, params.parameters(), step=1e-5, tol=1e-4)
+        assert report.passed, report.max_rel_err
 
 
 class TestClassify:
