@@ -33,7 +33,7 @@ from .config import (
 )
 from .errors import ConfigError, ContractError, NanLossError, ParseError, ValidationError
 from .evaluation import write_report
-from .longterm import AggregationWeights, WindowingConfig
+from .longterm import STRATEGIES, AggregationWeights, WindowingConfig
 from .rng import RngStream
 from .synthdata import (
     Dataset,
@@ -219,7 +219,12 @@ def _weights_for(state: TrainState, windowing: WindowingConfig,
 
 
 def cmd_inspect(args) -> int:
-    """Export attention, actors first; the unified last layer is (K, K + N), not (K + N, K + N)."""
+    """Export attention weights per (layer, head, query, key).
+
+    Unified: tokens count the K actors first, then the N scene tokens, and the
+    last layer is (K, K + N). Other variants export only their K × N
+    actor-to-scene cross-attention, keys numbering the scene tokens from 0.
+    """
     dataset, cfg = _load_dataset_dir(args.dataset)
     state, model_cfg, scenario = load_train_state(args.checkpoint, cfg.optimizer)
     clip = dataset.clip(args.clip)
@@ -268,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--dataset", required=True)
     p_eval.add_argument("--out", required=True)
-    p_eval.add_argument("--strategy", action="append",
-                        choices=["weighted", "max", "avg", "topk"])
+    p_eval.add_argument("--strategy", action="append", choices=STRATEGIES)
     p_eval.add_argument("--support", action="append",
                         help="total temporal support in seconds (repeatable)")
     p_eval.add_argument("--threshold", action="append",
@@ -278,11 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="evaluate dense top-K proposal sampling")
     p_eval.add_argument("--topk-k", type=int, default=1,
                         help="k for the topk aggregation strategy")
-    p_eval.add_argument("--variant", choices=["unified", "decoder_only", "encoder_decoder"])
+    p_eval.add_argument("--variant", choices=mdl.VARIANTS)
     p_eval.set_defaults(fn=cmd_eval)
 
     p_ins = sub.add_parser("inspect", help="export raw attention for one clip "
-                           "(unified last layer: actor queries only)")
+                           "(unified: actors then scene tokens, last layer actor queries "
+                           "only; other variants: actor-to-scene cross-attention only)")
     p_ins.add_argument("--checkpoint", required=True)
     p_ins.add_argument("--dataset", required=True)
     p_ins.add_argument("--clip", required=True)

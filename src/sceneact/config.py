@@ -46,7 +46,7 @@ _SECTIONS = {
 }
 
 
-def _coerce(field_obj, value, path: str):
+def _coerce(value, path: str):
     # json gives lists; tuple-typed fields take tuples
     if isinstance(value, list):
         return tuple(value)
@@ -64,7 +64,7 @@ def _build_section(cls, data: dict, path: str):
     unknown = sorted(set(data) - names)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {unknown}")
-    kwargs = {k: _coerce(k, v, f"{path}.{k}") for k, v in data.items()}
+    kwargs = {k: _coerce(v, f"{path}.{k}") for k, v in data.items()}
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:

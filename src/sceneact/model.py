@@ -11,12 +11,18 @@ classification head:
 * encoder_decoder -- scene tokens are self-encoded first, then actor
                   tokens run self-attention plus cross-attention blocks.
 
+All three use one pre-norm residual block: attention sublayers
+x = Attn(LN(x), LN(kv)) + x, with kv = x (self) or a key/value source
+(cross), then x = MLP(LN(x)) + x with GELU. The encoder-decoder's actor
+blocks have two sublayers (self, then cross); the rest have one. Only the
+last sublayer exports to ``attn_sink``: the unified stack's attention, or
+the other variants' actor-to-scene cross-attention.
+
 The unified stack's last block queries with the K actor rows, the only
 rows the head reads; its keys and values still cover all K + N tokens.
 This is exact: all but keys and values is row-wise, and Philox fills in C
 order, so a (K, ...) dropout mask is the first K rows of the (K + N, ...) one.
 
-Blocks are pre-norm residual: z = Attn(LN(x)) + x, x' = MLP(LN(z)) + z.
 Zeroing every residual-branch output layer (attention output projection
 and second MLP layer) makes each stack an exact identity, which is the
 initialization sanity check used by the tests.
@@ -49,22 +55,19 @@ class ModelConfig:
     heads: int = 8
     ffn_dim: int = 1024
     dropout: float = 0.1
-    pre_norm: bool = True
-    activation: str = "gelu"
     variant: str = "unified"
     num_classes: int = 12
 
     def __post_init__(self):
-        if self.embed_dim % self.heads != 0:
-            raise ConfigError(
-                f"embed_dim {self.embed_dim} not divisible by heads {self.heads}"
-            )
-        if self.activation != "gelu":
-            raise ConfigError(f"unsupported activation {self.activation!r}")
+        if self.heads < 1 or self.embed_dim % self.heads != 0:
+            raise ConfigError(f"heads {self.heads} must be at least 1 and divide "
+                              f"embed_dim {self.embed_dim}")
+        if self.layers < 0:
+            raise ConfigError(f"layers must be non-negative, got {self.layers}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if not self.pre_norm:
-            raise ConfigError("only pre-norm blocks are supported")
 
 
 @dataclass
@@ -81,25 +84,9 @@ class AttentionParams:
 
 @dataclass
 class BlockParams:
-    ln1_gain: Parameter
-    ln1_bias: Parameter
-    attn: AttentionParams
-    ln2_gain: Parameter
-    ln2_bias: Parameter
-    w1: Parameter
-    b1: Parameter
-    w2: Parameter
-    b2: Parameter
+    """Attention sublayers as (LayerNorm gain, LayerNorm bias, attention), then the MLP."""
 
-
-@dataclass
-class DecoderBlockParams:
-    ln_self_gain: Parameter
-    ln_self_bias: Parameter
-    self_attn: AttentionParams
-    ln_cross_gain: Parameter
-    ln_cross_bias: Parameter
-    cross_attn: AttentionParams
+    attns: list[tuple[Parameter, Parameter, AttentionParams]]
     ln_mlp_gain: Parameter
     ln_mlp_bias: Parameter
     w1: Parameter
@@ -135,9 +122,6 @@ class ModelParams:
     def parameters(self) -> list[Parameter]:
         return list(self._registry.values())
 
-    def by_name(self, name: str) -> Parameter:
-        return self._registry[name]
-
 
 def _glorot(rng: RngStream, out_dim: int, in_dim: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (in_dim + out_dim))
@@ -172,23 +156,15 @@ def init_params(
     def norm(name: str) -> tuple[Parameter, Parameter]:
         return make(f"{name}.gain", np.ones(d)), make(f"{name}.bias", np.zeros(d))
 
-    def block(prefix: str) -> BlockParams:
-        g1, b1n = norm(f"{prefix}.ln1")
-        attn = attention(f"{prefix}.attn")
-        g2, b2n = norm(f"{prefix}.ln2")
+    def block(prefix: str, attns: list[tuple[str, str]], ln_mlp: str) -> BlockParams:
+        sublayers = [(*norm(f"{prefix}.{ln}"), attention(f"{prefix}.{name}"))
+                     for ln, name in attns]
+        g, b = norm(f"{prefix}.{ln_mlp}")
         w1, b1 = linear(f"{prefix}.mlp.fc1", cfg.ffn_dim, d)
         w2, b2 = linear(f"{prefix}.mlp.fc2", d, cfg.ffn_dim)
-        return BlockParams(g1, b1n, attn, g2, b2n, w1, b1, w2, b2)
+        return BlockParams(sublayers, g, b, w1, b1, w2, b2)
 
-    def decoder_block(prefix: str) -> DecoderBlockParams:
-        gs, bs = norm(f"{prefix}.ln_self")
-        sa = attention(f"{prefix}.self")
-        gc, bc = norm(f"{prefix}.ln_cross")
-        ca = attention(f"{prefix}.cross")
-        gm, bm = norm(f"{prefix}.ln_mlp")
-        w1, b1 = linear(f"{prefix}.mlp.fc1", cfg.ffn_dim, d)
-        w2, b2 = linear(f"{prefix}.mlp.fc2", d, cfg.ffn_dim)
-        return DecoderBlockParams(gs, bs, sa, gc, bc, ca, gm, bm, w1, b1, w2, b2)
+    one_attn = ([("ln1", "attn")], "ln2")
 
     actor_proj = make("embed.actor", _glorot(rng.child_named("embed.actor"), d, actor_dim))
     geom_proj = make("embed.geom", _glorot(rng.child_named("embed.geom"), d, 6))
@@ -197,12 +173,15 @@ def init_params(
     params = ModelParams(cfg, actor_dim, scene_dim, actor_proj, geom_proj, scene_proj)
 
     if cfg.variant == "unified":
-        params.blocks = [block(f"enc{l}") for l in range(cfg.layers)]
+        params.blocks = [block(f"enc{l}", *one_attn) for l in range(cfg.layers)]
     elif cfg.variant == "decoder_only":
-        params.blocks = [block(f"dec{l}") for l in range(cfg.layers)]
+        params.blocks = [block(f"dec{l}", *one_attn) for l in range(cfg.layers)]
     else:
-        params.scene_blocks = [block(f"scene{l}") for l in range(cfg.layers)]
-        params.blocks = [decoder_block(f"dec{l}") for l in range(cfg.layers)]
+        params.scene_blocks = [block(f"scene{l}", *one_attn) for l in range(cfg.layers)]
+        params.blocks = [
+            block(f"dec{l}", [("ln_self", "self"), ("ln_cross", "cross")], "ln_mlp")
+            for l in range(cfg.layers)
+        ]
 
     params.head_w1, params.head_b1 = linear("head.fc1", d, d)
     params.head_w2, params.head_b2 = linear("head.fc2", cfg.num_classes, d)
@@ -214,20 +193,10 @@ def init_params(
 
 def zero_residual_projections(params: ModelParams):
     """Zero every residual-branch output layer; the stacks become identities."""
-
-    def zero(p: Parameter):
-        p.assign(np.zeros(p.shape))
-
     for blk in params.blocks + params.scene_blocks:
-        if isinstance(blk, DecoderBlockParams):
-            attns = [blk.self_attn, blk.cross_attn]
-        else:
-            attns = [blk.attn]
-        for attn in attns:
-            zero(attn.wo)
-            zero(attn.bo)
-        zero(blk.w2)
-        zero(blk.b2)
+        outputs = [p for _, _, attn in blk.attns for p in (attn.wo, attn.bo)]
+        for p in outputs + [blk.w2, blk.b2]:
+            p.assign(np.zeros(p.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -321,42 +290,31 @@ def _mlp(x: Tensor, blk, cfg: ModelConfig, rng: RngStream, training: bool) -> Te
     return ad.dropout(out, cfg.dropout, rng.child(2), training)
 
 
-def _encoder_block(
+def _block(
     x: Tensor,
     blk: BlockParams,
-    cfg: ModelConfig,
-    rng: RngStream,
-    training: bool,
-    sink: list | None,
-    layer: int,
-    kv: Tensor | None = None,
-) -> Tensor:
-    """Pre-norm residual block; with ``kv`` the attention is cross-attention."""
-    normed = ad.layer_norm(x, blk.ln1_gain.value, blk.ln1_bias.value, LAYER_NORM_EPS)
-    kv_normed = normed if kv is None else ad.layer_norm(
-        kv, blk.ln1_gain.value, blk.ln1_bias.value, LAYER_NORM_EPS)
-    z = ad.add(x, _mha(normed, kv_normed, blk.attn, cfg, rng, training, sink, layer))
-    z_normed = ad.layer_norm(z, blk.ln2_gain.value, blk.ln2_bias.value, LAYER_NORM_EPS)
-    return ad.add(z, _mlp(z_normed, blk, cfg, rng, training))
-
-
-def _decoder_block(
-    x: Tensor,
-    memory: Tensor,
-    blk: DecoderBlockParams,
+    sources: list[Tensor | None],
     cfg: ModelConfig,
     rng: RngStream,
     training: bool,
     sink: list | None,
     layer: int,
 ) -> Tensor:
-    normed = ad.layer_norm(x, blk.ln_self_gain.value, blk.ln_self_bias.value, LAYER_NORM_EPS)
-    z = ad.add(x, _mha(normed, normed, blk.self_attn, cfg, rng.child(10), training, None, layer))
-    zn = ad.layer_norm(z, blk.ln_cross_gain.value, blk.ln_cross_bias.value, LAYER_NORM_EPS)
-    mem = ad.layer_norm(memory, blk.ln_cross_gain.value, blk.ln_cross_bias.value, LAYER_NORM_EPS)
-    z2 = ad.add(z, _mha(zn, mem, blk.cross_attn, cfg, rng.child(11), training, sink, layer))
-    z2n = ad.layer_norm(z2, blk.ln_mlp_gain.value, blk.ln_mlp_bias.value, LAYER_NORM_EPS)
-    return ad.add(z2, _mlp(z2n, blk, cfg, rng.child(12), training))
+    """Pre-norm residual block with one key/value source per attention sublayer.
+
+    A ``None`` source is self-attention. The last sublayer draws dropout from
+    ``rng`` and writes to ``sink``; an earlier sublayer i draws from
+    ``rng.child(10 + i)`` and exports nothing.
+    """
+    last = len(blk.attns) - 1
+    for i, ((gain, bias, attn), src) in enumerate(zip(blk.attns, sources, strict=True)):
+        normed = ad.layer_norm(x, gain.value, bias.value, LAYER_NORM_EPS)
+        kv = normed if src is None else ad.layer_norm(src, gain.value, bias.value, LAYER_NORM_EPS)
+        own = i == last
+        x = ad.add(x, _mha(normed, kv, attn, cfg, rng if own else rng.child(10 + i), training,
+                           sink if own else None, layer))
+    normed = ad.layer_norm(x, blk.ln_mlp_gain.value, blk.ln_mlp_bias.value, LAYER_NORM_EPS)
+    return ad.add(x, _mlp(normed, blk, cfg, rng, training))
 
 
 def encode(
@@ -375,11 +333,11 @@ def encode(
     x = ad.transpose(x)  # (K+N, D)
     last = len(params.blocks) - 1
     for l, blk in enumerate(params.blocks[:last]):
-        x = _encoder_block(x, blk, cfg, rng.child(l), training, attn_sink, l)
+        x = _block(x, blk, [None], cfg, rng.child(l), training, attn_sink, l)
     actors = ad.narrow(x, 0, 0, actor_tokens.shape[1])
     if last >= 0:
-        actors = _encoder_block(actors, params.blocks[last], cfg, rng.child(last), training,
-                                attn_sink, last, kv=x)
+        actors = _block(actors, params.blocks[last], [x], cfg, rng.child(last), training,
+                        attn_sink, last)
     return ad.transpose(actors)
 
 
@@ -397,14 +355,11 @@ def encode_variant(
         raise ContractError("unified variant is handled by encode()")
     a = ad.transpose(actor_tokens)
     s = ad.transpose(scene_tokens)
-    if cfg.variant == "decoder_only":
-        for l, blk in enumerate(params.blocks):
-            a = _encoder_block(a, blk, cfg, rng.child(l), training, attn_sink, l, kv=s)
-    else:
-        for l, blk in enumerate(params.scene_blocks):
-            s = _encoder_block(s, blk, cfg, rng.child(100 + l), training, None, l)
-        for l, blk in enumerate(params.blocks):
-            a = _decoder_block(a, s, blk, cfg, rng.child(l), training, attn_sink, l)
+    for l, blk in enumerate(params.scene_blocks):  # encoder_decoder only
+        s = _block(s, blk, [None], cfg, rng.child(100 + l), training, None, l)
+    sources = [s] if cfg.variant == "decoder_only" else [None, s]
+    for l, blk in enumerate(params.blocks):
+        a = _block(a, blk, sources, cfg, rng.child(l), training, attn_sink, l)
     return ad.transpose(a)
 
 

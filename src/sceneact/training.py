@@ -13,7 +13,7 @@ uninterrupted trajectory bit for bit.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model as mdl
 from .checkpoint import load_checkpoint, params_hash, save_checkpoint
-from .errors import ConfigError, NanLossError
+from .errors import ConfigError, NanLossError, ValidationError
 from .evaluation import Detection, EvalReport, GroundTruthBox, evaluate
 from .longterm import (
     AggregationWeights,
@@ -409,8 +409,8 @@ def save_train_state(path, state: TrainState, model_cfg: ModelConfig,
 
 def load_train_state(path, opt_cfg: OptimizerConfig) -> tuple[TrainState, ModelConfig, ScenarioConfig]:
     sections, meta = load_checkpoint(path)
-    model_cfg = ModelConfig(**{k: _tup(v) for k, v in meta["model"].items()})
-    scenario = ScenarioConfig(**{k: _tup(v) for k, v in meta["scenario"].items()})
+    model_cfg = _cfg_from_meta(ModelConfig, meta, "model", path)
+    scenario = _cfg_from_meta(ScenarioConfig, meta, "scenario", path)
     params = init_params(model_cfg, scenario.actor_dim, scenario.scene_dim, RngStream(0))
     for p in params.parameters():
         p.assign(sections["model"][p.name])
@@ -437,5 +437,12 @@ def _cfg_dict(cfg) -> dict:
     return out
 
 
-def _tup(v):
-    return tuple(v) if isinstance(v, list) else v
+def _cfg_from_meta(cls, meta: dict, section: str, path):
+    """Rebuild a config from checkpoint metadata whose keys are exactly the class's fields."""
+    names = {f.name for f in fields(cls)}
+    data = meta.get(section, {})
+    unknown, missing = sorted(set(data) - names), sorted(names - set(data))
+    if unknown or missing:
+        raise ValidationError(f"checkpoint {path}: {section} metadata has unknown keys "
+                              f"{unknown} and missing keys {missing}")
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})

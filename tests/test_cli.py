@@ -74,6 +74,13 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="nope.json"):
             load_config(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("key,value", [
+        ("heads", 0), ("heads", -4), ("layers", -2), ("dropout", 1.0), ("dropout", -0.1),
+    ])
+    def test_model_bounds_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict({"model": {key: value}})
+
 
 class TestGenerate:
     def test_outputs_and_manifest(self, workspace):
@@ -95,6 +102,12 @@ class TestGenerate:
                    "--out", str(tmp_path / "d")])
         assert rc == 1
         assert "absent.json" in capsys.readouterr().err
+
+    def test_bad_model_config_exits_1(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, dict(TINY, model=dict(TINY["model"], heads=0)))
+        rc = main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "d")])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err and not (tmp_path / "d").exists()
 
     def test_refuses_non_empty_dir_without_force(self, workspace, capsys):
         _root, cfg_path, data_dir, _out = workspace
@@ -220,6 +233,21 @@ class TestTrainEvalInspect:
                    "--variant", "decoder_only"])
         assert rc == 1
 
+    def test_checkpoint_meta_mismatch_rejected(self, workspace, tmp_path, capsys):
+        _root, _cfg, data_dir, out_dir = workspace
+        raw = (out_dir / "best.ckpt").read_bytes()
+        nl = raw.index(b"\n")
+        header = json.loads(raw[:nl])
+        header["meta"]["model"]["pre_norm"] = True
+        del header["meta"]["model"]["dropout"]
+        edited = tmp_path / "old.ckpt"
+        edited.write_bytes(json.dumps(header).encode() + raw[nl:])
+        rc = main(["eval", "--checkpoint", str(edited), "--dataset", str(data_dir),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(edited) in err and "'pre_norm'" in err and "'dropout'" in err
+
     def test_long_phase_requires_checkpoint(self, workspace, tmp_path):
         _root, cfg_path, data_dir, _out = workspace
         rc = main(["train", "--config", str(cfg_path), "--dataset", str(data_dir),
@@ -268,6 +296,35 @@ class TestTrainEvalInspect:
         assert queries["0"] == keys["0"] == set(range(tokens))
         assert queries["1"] == set(range(k))
         assert keys["1"] == set(range(tokens))
+
+    def test_inspect_non_unified_exports_cross_attention_only(self, workspace, tmp_path):
+        _root, _cfg, data_dir, _out = workspace
+        enc_dec = dict(TINY, model=dict(TINY["model"], layers=2, variant="encoder_decoder"))
+        cfg_path = write_config(tmp_path, enc_dec)
+        run_dir = tmp_path / "run_ed"
+        assert main(["train", "--config", str(cfg_path), "--dataset", str(data_dir),
+                     "--out", str(run_dir)]) == 0
+        out_csv = tmp_path / "attn.csv"
+        assert main(["inspect", "--checkpoint", str(run_dir / "best.ckpt"), "--dataset",
+                     str(data_dir), "--clip", "eval_0000", "--attention", str(out_csv)]) == 0
+        scenario = config_from_dict(enc_dec).scenario
+        k = scenario.proposal_count
+        n = scenario.grid_h * scenario.grid_w * scenario.grid_t
+        queries, keys, sums = {}, {}, {}
+        for r in csv.DictReader(out_csv.open()):
+            head = (r["layer"], r["head"])
+            queries.setdefault(head, set()).add(int(r["query"]))
+            keys.setdefault(head, set()).add(int(r["key"]))
+            row = head + (r["query"],)
+            sums[row] = sums.get(row, 0.0) + float(r["weight"])
+        assert set(queries) == {(str(l), str(h)) for l in range(2) for h in range(2)}
+        for head in queries:
+            assert queries[head] == set(range(k))
+            assert keys[head] == set(range(n))
+        # one row set per (layer, head): an exported self-attention would double these
+        assert len(sums) == 2 * 2 * k
+        for total in sums.values():
+            assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_inspect_unknown_clip(self, workspace, tmp_path):
         _root, _cfg, data_dir, out_dir = workspace

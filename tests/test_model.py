@@ -34,7 +34,7 @@ class TestConfig:
     def test_published_defaults(self):
         cfg = mdl.ModelConfig()
         assert (cfg.embed_dim, cfg.layers, cfg.heads, cfg.ffn_dim) == (256, 6, 8, 1024)
-        assert cfg.dropout == 0.1 and cfg.pre_norm and cfg.activation == "gelu"
+        assert cfg.dropout == 0.1
 
     def test_heads_must_divide(self):
         with pytest.raises(ConfigError):
@@ -158,17 +158,18 @@ class TestEncode:
 
         W = lambda p: p.value.data
         blk = params.blocks[0]
+        (ln1_gain, ln1_bias, attn), = blk.attns
         rows = x.T
-        normed = np.stack([ln(r, W(blk.ln1_gain), W(blk.ln1_bias)) for r in rows])
-        q = normed @ W(blk.attn.wq).T + W(blk.attn.bq)
-        k = normed @ W(blk.attn.wk).T + W(blk.attn.bk)
-        v = normed @ W(blk.attn.wv).T + W(blk.attn.bv)
+        normed = np.stack([ln(r, W(ln1_gain), W(ln1_bias)) for r in rows])
+        q = normed @ W(attn.wq).T + W(attn.bq)
+        k = normed @ W(attn.wk).T + W(attn.bk)
+        v = normed @ W(attn.wv).T + W(attn.bv)
         s = q @ k.T / 2.0
         a = np.exp(s - s.max(axis=1, keepdims=True))
         a /= a.sum(axis=1, keepdims=True)
-        att = a @ v @ W(blk.attn.wo).T + W(blk.attn.bo)
+        att = a @ v @ W(attn.wo).T + W(attn.bo)
         z = rows + att
-        zn = np.stack([ln(r, W(blk.ln2_gain), W(blk.ln2_bias)) for r in z])
+        zn = np.stack([ln(r, W(blk.ln_mlp_gain), W(blk.ln_mlp_bias)) for r in z])
         gelu = lambda u: u * 0.5 * (1 + erf(u / np.sqrt(2)))
         mlp = gelu(zn @ W(blk.w1).T + W(blk.b1)) @ W(blk.w2).T + W(blk.b2)
         np.testing.assert_allclose(out, (z + mlp).T, atol=1e-10)
@@ -251,7 +252,7 @@ def full_stack_logits(params, cfg, props, grid, rng, training):
     tokens = a if grid is None else ad.concat([a, mdl.embed_scene(grid, params)], axis=1)
     x = ad.transpose(tokens)
     for l, blk in enumerate(params.blocks):
-        x = mdl._encoder_block(x, blk, cfg, rng.child(l), training, None, l)
+        x = mdl._block(x, blk, [None], cfg, rng.child(l), training, None, l)
     return mdl.classify(ad.narrow(ad.transpose(x), 1, 0, len(props)), params)
 
 
@@ -309,6 +310,142 @@ class TestActorRowLastBlock:
 
         report = ad.grad_check(f, params.parameters(), step=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_err
+
+
+def _np_ln(rows, gain, bias, eps=1e-5):
+    mu = rows.mean(axis=1, keepdims=True)
+    var = ((rows - mu) ** 2).mean(axis=1, keepdims=True)
+    return (rows - mu) / np.sqrt(var + eps) * gain + bias
+
+
+def _np_gelu(u):
+    return u * 0.5 * (1 + erf(u / np.sqrt(2)))
+
+
+def _np_mha(q_rows, kv_rows, attn, heads):
+    W = lambda p: p.value.data
+    q = q_rows @ W(attn.wq).T + W(attn.bq)
+    k = kv_rows @ W(attn.wk).T + W(attn.bk)
+    v = kv_rows @ W(attn.wv).T + W(attn.bv)
+    dh = q.shape[1] // heads
+    outs = []
+    for h in range(heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        s = q[:, cols] @ k[:, cols].T / np.sqrt(dh)
+        a = np.exp(s - s.max(axis=1, keepdims=True))
+        outs.append(a / a.sum(axis=1, keepdims=True) @ v[:, cols])
+    return np.concatenate(outs, axis=1) @ W(attn.wo).T + W(attn.bo)
+
+
+class TestEncoderDecoder:
+    """The scene encoder and the actor decoder (self-, then cross-attention)."""
+
+    def test_one_layer_numpy_oracle(self):
+        cfg = tiny_cfg(layers=1, variant="encoder_decoder")
+        params = mdl.init_params(cfg, 5, 6, RngStream(60))
+        gen = RngStream(61).generator()
+        # non-trivial norms, so a wrongly shared LayerNorm shows
+        for p in params.parameters():
+            if p.name.endswith((".gain", ".bias")):
+                p.assign(p.value.data + 0.3 * gen.standard_normal(p.shape))
+        props = make_proposals(gen, k=3)
+        grid = make_grid(gen, h=2, w=3)
+        with ad.no_grad():
+            out = mdl.forward_actions(params, cfg, props, grid, RngStream(0)).data
+
+        W = lambda p: p.value.data
+        named = {p.name: p.value.data for p in params.parameters()}
+        ln = lambda rows, name: _np_ln(rows, named[f"{name}.gain"], named[f"{name}.bias"])
+
+        def mlp(rows, blk):
+            return _np_gelu(rows @ W(blk.w1).T + W(blk.b1)) @ W(blk.w2).T + W(blk.b2)
+
+        f = np.stack([p.feature for p in props], axis=1)
+        g = np.stack([p.geometry.as_list() for p in props], axis=1)
+        a = (W(params.actor_proj) @ f + W(params.geom_proj) @ g).T
+        s = (W(params.scene_proj) @ grid.features + mdl.sinusoidal_pe(6, cfg.embed_dim)).T
+
+        (_, _, scene_attn), = params.scene_blocks[0].attns
+        sn = ln(s, "scene0.ln1")
+        s = s + _np_mha(sn, sn, scene_attn, cfg.heads)
+        s = s + mlp(ln(s, "scene0.ln2"), params.scene_blocks[0])
+
+        dec = params.blocks[0]
+        (_, _, self_attn), (_, _, cross_attn) = dec.attns
+        an = ln(a, "dec0.ln_self")
+        a = a + _np_mha(an, an, self_attn, cfg.heads)
+        a = a + _np_mha(ln(a, "dec0.ln_cross"), ln(s, "dec0.ln_cross"), cross_attn, cfg.heads)
+        a = a + mlp(ln(a, "dec0.ln_mlp"), dec)
+
+        h = _np_gelu(a @ W(params.head_w1).T + W(params.head_b1))
+        expected = (h @ W(params.head_w2).T + W(params.head_b2)).T
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-10)
+
+    def test_grad_check_in_training_mode(self):
+        cfg = tiny_cfg(layers=1, dropout=0.3, variant="encoder_decoder")
+        params = mdl.init_params(cfg, 5, 6, RngStream(62))
+        gen = RngStream(63).generator()
+        props = make_proposals(gen, k=3)
+        grid = make_grid(gen)
+        loss_w = ad.Tensor(gen.standard_normal(3))
+
+        def f():
+            # a fixed dropout stream makes the training-mode forward deterministic
+            logits = mdl.forward_actions(params, cfg, props, grid, RngStream(64), training=True)
+            return ad.reduce_sum(ad.mul_rowvec(logits, loss_w))
+
+        report = ad.grad_check(f, params.parameters(), step=1e-5, tol=1e-4)
+        assert report.passed, report.max_rel_err
+
+
+def _block_names(prefix, attns, ln_mlp):
+    names = []
+    for ln, attn in attns:
+        names += [f"{prefix}.{ln}.gain", f"{prefix}.{ln}.bias"]
+        names += [f"{prefix}.{attn}.{m}.{wb}" for m in ("q", "k", "v", "out") for wb in "wb"]
+    names += [f"{prefix}.{ln_mlp}.gain", f"{prefix}.{ln_mlp}.bias"]
+    return names + [f"{prefix}.mlp.{fc}.{wb}" for fc in ("fc1", "fc2") for wb in "wb"]
+
+
+EMBED_NAMES = ["embed.actor", "embed.geom", "embed.scene"]
+HEAD_NAMES = ["head.fc1.w", "head.fc1.b", "head.fc2.w", "head.fc2.b"]
+SELF_BLOCK = ([("ln1", "attn")], "ln2")
+DECODER_BLOCK = ([("ln_self", "self"), ("ln_cross", "cross")], "ln_mlp")
+
+
+class TestParameterNames:
+    """Checkpoints store parameters by name and AdamW walks them in registration
+    order; both must stay fixed for old checkpoints to load and resume."""
+
+    def test_block_name_snapshot(self):
+        assert _block_names("enc0", *SELF_BLOCK) == [
+            "enc0.ln1.gain", "enc0.ln1.bias",
+            "enc0.attn.q.w", "enc0.attn.q.b", "enc0.attn.k.w", "enc0.attn.k.b",
+            "enc0.attn.v.w", "enc0.attn.v.b", "enc0.attn.out.w", "enc0.attn.out.b",
+            "enc0.ln2.gain", "enc0.ln2.bias",
+            "enc0.mlp.fc1.w", "enc0.mlp.fc1.b", "enc0.mlp.fc2.w", "enc0.mlp.fc2.b",
+        ]
+        assert _block_names("dec0", *DECODER_BLOCK) == [
+            "dec0.ln_self.gain", "dec0.ln_self.bias",
+            "dec0.self.q.w", "dec0.self.q.b", "dec0.self.k.w", "dec0.self.k.b",
+            "dec0.self.v.w", "dec0.self.v.b", "dec0.self.out.w", "dec0.self.out.b",
+            "dec0.ln_cross.gain", "dec0.ln_cross.bias",
+            "dec0.cross.q.w", "dec0.cross.q.b", "dec0.cross.k.w", "dec0.cross.k.b",
+            "dec0.cross.v.w", "dec0.cross.v.b", "dec0.cross.out.w", "dec0.cross.out.b",
+            "dec0.ln_mlp.gain", "dec0.ln_mlp.bias",
+            "dec0.mlp.fc1.w", "dec0.mlp.fc1.b", "dec0.mlp.fc2.w", "dec0.mlp.fc2.b",
+        ]
+
+    @pytest.mark.parametrize("variant,blocks", [
+        ("unified", [("enc0", SELF_BLOCK), ("enc1", SELF_BLOCK)]),
+        ("decoder_only", [("dec0", SELF_BLOCK), ("dec1", SELF_BLOCK)]),
+        ("encoder_decoder", [("scene0", SELF_BLOCK), ("scene1", SELF_BLOCK),
+                             ("dec0", DECODER_BLOCK), ("dec1", DECODER_BLOCK)]),
+    ])
+    def test_registration_order(self, variant, blocks):
+        params = mdl.init_params(tiny_cfg(variant=variant), 5, 6, RngStream(65))
+        expected = EMBED_NAMES + sum((_block_names(p, *b) for p, b in blocks), []) + HEAD_NAMES
+        assert [p.name for p in params.parameters()] == expected
 
 
 class TestClassify:
