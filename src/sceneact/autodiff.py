@@ -1,21 +1,20 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
-The graph is recorded dynamically: every operation returns a new Tensor
-holding its parents and a closure that maps the upstream gradient to
-parent gradients. ``backward`` walks the recorded graph once, in reverse
-topological order, accumulating gradients on leaves. Parameters wrap a
-leaf tensor whose gradient buffer persists across backward calls, so
-repeated backward passes accumulate until ``zero_grad``.
+A leaf is either a parameter or a constant. An operation is recorded,
+with its parents and a closure mapping the upstream gradient to parent
+gradients, only when a parent is a parameter leaf or a recorded
+operation; closures skip the work for constant parents. ``backward``
+walks the recorded graph once in reverse topological order and drops
+each intermediate gradient once its node is processed. Only parameter
+leaves keep a gradient, and it accumulates across backward calls until
+``zero_grad``.
 
-Tensors are immutable values (the underlying numpy buffer is marked
-read-only) and safe to share across threads; a recorded graph belongs to
-the single thread that built it.
+Tensors are immutable values: the numpy buffer is marked read-only.
 """
 
 from __future__ import annotations
 
 import contextlib
-import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -27,38 +26,37 @@ from .rng import RngStream
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
-_state = threading.local()
-
-
-def _grad_enabled() -> bool:
-    return getattr(_state, "grad_enabled", True)
+_recording = True
 
 
 @contextlib.contextmanager
 def no_grad():
     """Disable graph recording inside the context (inference paths)."""
-    prev = _grad_enabled()
-    _state.grad_enabled = False
+    global _recording
+    prev, _recording = _recording, False
     try:
         yield
     finally:
-        _state.grad_enabled = prev
+        _recording = prev
 
 
 class Tensor:
     """Dense float64 array with optional gradient tape bookkeeping.
 
-    ``data`` is a C-contiguous (row-major) read-only numpy array. ``grad``
-    is populated by ``backward`` and is writable.
+    ``data`` is a C-contiguous (row-major) read-only numpy array.
+    ``requires_grad`` marks parameter leaves and recorded operations.
+    ``grad`` is populated by ``backward`` on parameter leaves only and is
+    writable.
     """
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64, order="C")
         arr.setflags(write=False)
         self.data = arr
         self.grad = None
+        self.requires_grad = requires_grad
         self._parents: tuple = ()
         self._backward: Callable | None = None
 
@@ -79,19 +77,16 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-def _wrap(arr: np.ndarray, parents: tuple = (), backward: Callable | None = None) -> Tensor:
+def _wrap(arr: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
     # Fast path for operation outputs: we own ``arr``, no defensive copy.
     t = Tensor.__new__(Tensor)
     arr = np.ascontiguousarray(arr, dtype=np.float64)
     arr.setflags(write=False)
     t.data = arr
     t.grad = None
-    if parents and _grad_enabled():
-        t._parents = parents
-        t._backward = backward
-    else:
-        t._parents = ()
-        t._backward = None
+    t.requires_grad = _recording and any(p.requires_grad for p in parents)
+    t._parents = parents if t.requires_grad else ()
+    t._backward = backward if t.requires_grad else None
     return t
 
 
@@ -102,7 +97,7 @@ class Parameter:
 
     def __init__(self, name: str, data):
         self.name = name
-        self.value = Tensor(data)
+        self.value = Tensor(data, requires_grad=True)
 
     @property
     def shape(self) -> tuple:
@@ -119,7 +114,7 @@ class Parameter:
 
     def assign(self, data):
         """Replace the value with a fresh leaf (clears the gradient)."""
-        new = Tensor(data)
+        new = Tensor(data, requires_grad=True)
         if new.shape != self.value.shape:
             raise DimensionError(
                 f"parameter {self.name}: assign shape {new.shape} != {self.value.shape}"
@@ -147,7 +142,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def bwd(g):
-        return g @ b.data.T, a.data.T @ g
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
     return _wrap(out, (a, b), bwd)
 
@@ -182,7 +178,8 @@ def mul_rowvec(x: Tensor, v: Tensor) -> Tensor:
 
     def bwd(g):
         axes = tuple(range(g.ndim - 1))
-        return g * v.data, (g * x.data).sum(axis=axes)
+        return (g * v.data if x.requires_grad else None,
+                (g * x.data).sum(axis=axes) if v.requires_grad else None)
 
     return _wrap(x.data * v.data, (x, v), bwd)
 
@@ -318,11 +315,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    y = _sigmoid(x.data)
-    return _wrap(y, (x,), lambda g: (g * y * (1.0 - y),))
-
-
 def _logit(p: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Inverse sigmoid of p clamped to [eps, 1 - eps]; returns it with the clamped p."""
     q = np.clip(p, eps, 1.0 - eps)
@@ -397,9 +389,10 @@ def focal_from_logits(logits: Tensor, targets, alpha: float, gamma: float) -> Te
 
 
 def _topo_order(root: Tensor) -> list:
+    """Nodes that need a gradient, parents before children; constants are not walked."""
     order = []
     seen = set()
-    stack = [(root, False)]
+    stack = [(root, False)] if root.requires_grad else []
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -410,28 +403,25 @@ def _topo_order(root: Tensor) -> list:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
     return order
 
 
 def backward(loss: Tensor):
-    """Accumulate d(loss)/d(leaf) into every reachable leaf's grad buffer."""
+    """Accumulate d(loss)/d(parameter) into every reachable parameter leaf's grad."""
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
-    order = _topo_order(loss)
-    loss.grad = np.ones(loss.data.shape)
-    for node in reversed(order):
-        if node._backward is None:
+    grads = {id(loss): np.ones(loss.data.shape)}
+    for node in reversed(_topo_order(loss)):
+        g = grads.pop(id(node))
+        if node._backward is None:  # parameter leaf; own the buffer, views may alias
+            node.grad = np.array(g) if node.grad is None else node.grad + g
             continue
-        grads = node._backward(node.grad)
-        for parent, g in zip(node._parents, grads):
-            if g is None:
-                continue
-            if parent.grad is None:
-                parent.grad = np.array(g, dtype=np.float64)
-            else:
-                np.add(parent.grad, g, out=parent.grad)
+        for parent, pg in zip(node._parents, node._backward(g)):
+            if parent.requires_grad:
+                acc = grads.get(id(parent))
+                grads[id(parent)] = pg if acc is None else acc + pg
 
 
 # ---------------------------------------------------------------------------

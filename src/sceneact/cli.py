@@ -53,8 +53,6 @@ from .training import (
     train_short_term,
 )
 
-log = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
@@ -64,6 +62,26 @@ def _ensure_out_dir(path: Path, force: bool):
     if path.exists() and any(path.iterdir()) and not force:
         raise ConfigError(f"output directory {path} is not empty (use --force)")
     path.mkdir(parents=True, exist_ok=True)
+
+
+def _require_match(source: str, reference: str, **pairs):
+    """Raise ``ValidationError`` naming each field where a ``(given, expected)`` pair differs."""
+    found = []
+    for section, (given, expected) in pairs.items():
+        differ = [f.name for f in dataclasses.fields(expected)
+                  if getattr(given, f.name) != getattr(expected, f.name)]
+        if differ:
+            found.append(f"{section} differs from {reference} on {differ}")
+    if found:
+        raise ValidationError(f"{source}: " + "; ".join(found))
+
+
+def _load_checkpoint(path, cfg: RunConfig, dataset_dir):
+    """``load_train_state``, refusing a checkpoint made for another scenario than the dataset's."""
+    state, model_cfg, scenario = load_train_state(path, cfg.optimizer)
+    _require_match(f"checkpoint {path}", f"the manifest in {dataset_dir}",
+                   scenario=(scenario, cfg.scenario))
+    return state, model_cfg, scenario
 
 
 def _load_dataset_dir(dataset_dir, config_path=None) -> tuple[Dataset, RunConfig]:
@@ -81,13 +99,8 @@ def _load_dataset_dir(dataset_dir, config_path=None) -> tuple[Dataset, RunConfig
         raise ValidationError(f"manifest config hash mismatch in {dataset_dir}")
     if config_path:
         given = load_config(config_path)
-        differ = [f.name for f in dataclasses.fields(cfg.scenario)
-                  if getattr(given.scenario, f.name) != getattr(cfg.scenario, f.name)]
-        if differ:
-            raise ConfigError(
-                f"{config_path}: scenario differs from the manifest in {dataset_dir} "
-                f"on {differ}"
-            )
+        _require_match(str(config_path), f"the manifest in {dataset_dir}",
+                       scenario=(given.scenario, cfg.scenario))
         cfg = given
     return generate_dataset(cfg.scenario), cfg
 
@@ -124,7 +137,9 @@ def cmd_train(args) -> int:
     if args.phase == "short":
         state = None
         if args.resume:
-            state, _, _ = load_train_state(args.resume, cfg.optimizer)
+            state, model_cfg, scenario = load_train_state(args.resume, cfg.optimizer)
+            _require_match(f"checkpoint {args.resume}", "the run config",
+                           model=(model_cfg, cfg.model), scenario=(scenario, cfg.scenario))
         state = train_short_term(
             dataset, cfg.model, cfg.loss, cfg.optimizer, rng,
             windowing=cfg.windowing, out_dir=out, state=state, log_lines=log_lines,
@@ -133,7 +148,7 @@ def cmd_train(args) -> int:
     else:
         if not args.checkpoint:
             raise ConfigError("--phase long requires --checkpoint from the short phase")
-        state, model_cfg, _scenario = load_train_state(args.checkpoint, cfg.optimizer)
+        state, model_cfg, _scenario = _load_checkpoint(args.checkpoint, cfg, args.dataset)
         weights, report = train_long_term(
             state, dataset, model_cfg, cfg.loss, cfg.optimizer, cfg.windowing
         )
@@ -149,7 +164,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     dataset, cfg = _load_dataset_dir(args.dataset)
-    state, model_cfg, scenario = load_train_state(args.checkpoint, cfg.optimizer)
+    state, model_cfg, scenario = _load_checkpoint(args.checkpoint, cfg, args.dataset)
     if args.variant and args.variant != model_cfg.variant:
         raise ConfigError(
             f"checkpoint was trained with variant {model_cfg.variant!r}, not {args.variant!r}"
@@ -226,7 +241,7 @@ def cmd_inspect(args) -> int:
     actor-to-scene cross-attention, keys numbering the scene tokens from 0.
     """
     dataset, cfg = _load_dataset_dir(args.dataset)
-    state, model_cfg, scenario = load_train_state(args.checkpoint, cfg.optimizer)
+    state, model_cfg, scenario = _load_checkpoint(args.checkpoint, cfg, args.dataset)
     clip = dataset.clip(args.clip)
     sink: list = []
     with ad.no_grad():

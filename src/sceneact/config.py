@@ -36,6 +36,11 @@ class RunConfig:
     windowing: WindowingConfig = field(default_factory=WindowingConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
+    def __post_init__(self):
+        if self.model.num_classes != self.scenario.num_classes:
+            raise ConfigError(f"model.num_classes {self.model.num_classes} differs from "
+                              f"scenario.num_classes {self.scenario.num_classes}")
+
 
 _SECTIONS = {
     "scenario": ScenarioConfig,

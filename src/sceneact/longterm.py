@@ -21,7 +21,6 @@ short-term model.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -33,8 +32,6 @@ from .errors import ConfigError, ContractError
 from .matching import LossConfig, match
 from .rng import RngStream
 from .synthdata import ClipSample, ground_truth_set, window_grid
-
-log = logging.getLogger(__name__)
 
 STRATEGIES = ("weighted", "max", "avg", "topk")
 

@@ -59,6 +59,9 @@ class ModelConfig:
     num_classes: int = 12
 
     def __post_init__(self):
+        for name in ("embed_dim", "ffn_dim", "num_classes"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.heads < 1 or self.embed_dim % self.heads != 0:
             raise ConfigError(f"heads {self.heads} must be at least 1 and divide "
                               f"embed_dim {self.embed_dim}")

@@ -361,9 +361,9 @@ def generate_clip(cfg: ScenarioConfig, rng: RngStream, clip_id: str = "clip",
 def sample_proposals(
     detections: list[ActorProposal],
     k: int,
+    actor_dim: int,
     mode: str = "topk",
     tau: float = 0.0,
-    actor_dim: int | None = None,
 ) -> list[ActorProposal]:
     """Densify detections to exactly k proposals.
 
@@ -378,8 +378,6 @@ def sample_proposals(
         raise ConfigError(f"unknown sampling mode {mode!r}")
     if not detections:
         log.info("no detections at all; emitting %d dummy proposals", k)
-    if actor_dim is None:
-        actor_dim = len(detections[0].feature) if detections else 1
     kept = list(detections)
     if mode == "threshold":
         kept = [d for d in kept if d.person_score >= tau]

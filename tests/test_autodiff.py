@@ -96,9 +96,9 @@ class TestActivations:
         np.testing.assert_allclose(expected, 0.8413447460685429, atol=1e-12)
 
     def test_sigmoid_values(self):
-        assert ad.sigmoid(ad.Tensor([0.0])).data[0] == 0.5
-        assert ad.sigmoid(ad.Tensor([-1000.0])).data[0] == 0.0
-        np.testing.assert_allclose(ad.sigmoid(ad.Tensor([np.log(3.0)])).data[0], 0.75, atol=1e-12)
+        assert ad._sigmoid(np.array([0.0]))[0] == 0.5
+        assert ad._sigmoid(np.array([-1000.0]))[0] == 0.0
+        np.testing.assert_allclose(ad._sigmoid(np.array([np.log(3.0)]))[0], 0.75, atol=1e-12)
 
     def test_logit_inverts_sigmoid_and_clamps(self):
         np.testing.assert_allclose(ad.logit(ad.Tensor([0.75])).data[0], np.log(3.0), atol=1e-12)
@@ -214,18 +214,59 @@ class TestGradCheck:
             cat = ad.mul_rowvec(cat, v.value)
             picked = ad.gather_rows(cat, [0, 0, 3, 5])
             sliced = ad.narrow(picked, 1, 0, 2)
-            return ad.reduce_sum(ad.sigmoid(sliced))
+            return ad.reduce_sum(ad.gelu(sliced))
 
         report = ad.grad_check(f, [a, b, v], step=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_err
 
     def test_logit_gradient_inside_and_at_clamp(self):
-        p = ad.Parameter("p", np.array([0.0, 0.1, 0.5, 0.93, 1.2]))
-        report = ad.grad_check(lambda: ad.reduce_sum(ad.logit(p.value, eps=1e-3)), [p],
-                               step=1e-6, tol=1e-4)
+        data = np.array([0.0, 0.1, 0.5, 0.93, 1.2])
+        p = ad.Parameter("p", data)
+
+        def f():
+            return ad.reduce_sum(ad.logit(p.value, eps=1e-3))
+
+        report = ad.grad_check(f, [p], step=1e-6, tol=1e-4)
         assert report.passed, report.max_rel_err
-        # the clamped entries (0 and 1.2) receive no gradient
+        # grad_check leaves a fresh leaf behind, so take the gradient anew:
+        # the clamped entries (0 and 1.2) receive none, the others 1 / (p (1 - p))
+        ad.backward(f())
         assert p.grad[0] == 0.0 and p.grad[4] == 0.0
+        inside = data[1:4]
+        np.testing.assert_allclose(p.grad[1:4], 1.0 / (inside * (1.0 - inside)), rtol=1e-12)
+
+
+class TestTapeContract:
+    """A leaf is a parameter or a constant; only parameter leaves keep a gradient."""
+
+    def test_only_parameter_leaves_keep_gradients(self):
+        w = ad.Parameter("w", rand((2, 3), 15))
+        const = ad.Tensor(rand((3, 4), 16))
+        offset = ad.Tensor(rand((2, 4), 17))
+        h = ad.matmul(w.value, const)
+        s = ad.add(h, offset)
+        loss = ad.reduce_sum(s)
+        ad.backward(loss)
+        for t in (const, offset, h, s, loss):
+            assert t.grad is None
+        np.testing.assert_array_equal(w.grad, np.ones((2, 4)) @ const.data.T)
+        walked = {id(t) for t in ad._topo_order(loss)}
+        assert id(const) not in walked and id(offset) not in walked
+
+    def test_op_on_constants_records_no_parents(self):
+        a, b = ad.Tensor(rand((2, 3), 18)), ad.Tensor(rand((3, 2), 19))
+        for out in (ad.matmul(a, b), ad.add(a, a), ad.mul_rowvec(a, ad.Tensor(np.ones(3)))):
+            assert out._parents == () and not out.requires_grad
+
+    def test_closures_skip_constant_operands(self):
+        w = ad.Parameter("w", rand((2, 3), 20))
+        v = ad.Parameter("v", rand((3,), 21))
+        const = ad.Tensor(rand((3, 2), 22))
+        assert ad.matmul(w.value, const)._backward(np.ones((2, 2)))[1] is None
+        data = ad.Tensor(rand((4, 2), 24))
+        assert ad.matmul(data, w.value)._backward(np.ones((4, 3)))[0] is None
+        assert ad.mul_rowvec(ad.Tensor(rand((4, 3), 23)), v.value)._backward(
+            np.ones((4, 3)))[0] is None
 
 
 class TestTensorInvariants:
@@ -239,7 +280,6 @@ class TestTensorInvariants:
         for out in [
             ad.softmax(x, axis=-1),
             ad.gelu(x),
-            ad.sigmoid(x),
             ad.layer_norm(x, ad.Tensor(np.ones(8)), ad.Tensor(np.zeros(8))),
             ad.focal_from_logits(x, np.zeros((6, 8)), 0.25, 2.0),
         ]:

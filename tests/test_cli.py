@@ -76,6 +76,7 @@ class TestConfigLoading:
 
     @pytest.mark.parametrize("key,value", [
         ("heads", 0), ("heads", -4), ("layers", -2), ("dropout", 1.0), ("dropout", -0.1),
+        ("embed_dim", 0), ("ffn_dim", 0), ("num_classes", 0), ("num_classes", 6),
     ])
     def test_model_bounds_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -108,6 +109,12 @@ class TestGenerate:
         rc = main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "d")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err and not (tmp_path / "d").exists()
+
+    def test_model_scenario_class_mismatch_exits_1(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, dict(TINY, model=dict(TINY["model"], num_classes=6)))
+        rc = main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "d")])
+        assert rc == 1
+        assert "num_classes" in capsys.readouterr().err and not (tmp_path / "d").exists()
 
     def test_refuses_non_empty_dir_without_force(self, workspace, capsys):
         _root, cfg_path, data_dir, _out = workspace
@@ -146,6 +153,45 @@ class TestDatasetManifest:
         assert calls == []
         err = capsys.readouterr().err
         assert "'seed'" in err and "'train_clips'" in err
+
+
+class TestCheckpointMatchesRun:
+    """A checkpoint runs only against the scenario, and on resume the model, it was made for."""
+
+    @pytest.fixture(scope="class")
+    def other_dims(self, tmp_path_factory):
+        data_dir = tmp_path_factory.mktemp("dims") / "data"
+        cfg_path = write_config(data_dir.parent,
+                                dict(TINY, scenario=dict(TINY["scenario"], actor_dim=16)))
+        assert main(["generate", "--config", str(cfg_path), "--out", str(data_dir)]) == 0
+        return data_dir
+
+    def test_resume_with_other_model_rejected(self, workspace, tmp_path, monkeypatch, capsys):
+        _root, _cfg, data_dir, out_dir = workspace
+        cfg_path = write_config(tmp_path, dict(TINY, model={"heads": 2, "dropout": 0.3}))
+        calls = []
+        monkeypatch.setattr(cli, "train_short_term", lambda *a, **kw: calls.append(a))
+        rc = main(["train", "--config", str(cfg_path), "--dataset", str(data_dir),
+                   "--out", str(tmp_path / "run"), "--resume", str(out_dir / "last.ckpt")])
+        assert rc == 1
+        assert calls == []
+        err = capsys.readouterr().err
+        assert str(out_dir / "last.ckpt") in err
+        assert "'embed_dim'" in err and "'layers'" in err and "'dropout'" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--out", "{tmp}/eval"],
+        ["inspect", "--clip", "eval_0000", "--attention", "{tmp}/attn.csv"],
+        ["train", "--phase", "long", "--out", "{tmp}/lt"],
+    ], ids=["eval", "inspect", "train_long"])
+    def test_other_scenario_rejected(self, workspace, other_dims, tmp_path, capsys, argv):
+        _root, _cfg, _data, out_dir = workspace
+        rc = main([a.format(tmp=tmp_path) for a in argv]
+                  + ["--checkpoint", str(out_dir / "best.ckpt"), "--dataset", str(other_dims)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "'actor_dim'" in err and str(other_dims) in err
+        assert not (tmp_path / "attn.csv").exists() and not (tmp_path / "eval").exists()
 
 
 class TestNanAbort:

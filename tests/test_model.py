@@ -529,3 +529,29 @@ class TestFullForwardGradient:
 
         report = ad.grad_check(f, params.parameters(), step=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_err
+
+    @pytest.mark.parametrize("variant", mdl.VARIANTS)
+    def test_only_parameter_leaves_hold_gradients(self, variant):
+        from sceneact.matching import GroundTruthSet, LossConfig, match, set_loss
+
+        cfg = tiny_cfg(variant=variant, dropout=0.3)
+        params = mdl.init_params(cfg, 5, 6, RngStream(44))
+        gen = RngStream(45).generator()
+        props = make_proposals(gen)
+        gts = GroundTruthSet.build([props[1].box], np.array([[0, 1.0, 0]]), 3)
+        logits = mdl.forward_actions(params, cfg, props, make_grid(gen), RngStream(46),
+                                     training=True)
+        sigma = match(gts, mdl.predictions_from_logits(props, logits.data), LossConfig()).sigma
+        loss = set_loss(gts, logits, sigma, LossConfig())
+        ad.backward(loss)
+        seen, stack, holders = {id(loss)}, [loss], []
+        while stack:
+            node = stack.pop()
+            if node.grad is not None:
+                holders.append(id(node))
+            for parent in node._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        leaves = {id(p.value) for p in params.parameters()}
+        assert holders and set(holders) <= leaves
