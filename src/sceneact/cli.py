@@ -129,26 +129,27 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     dataset, cfg = _load_dataset_dir(args.dataset, args.config)
+    # check the checkpoint before --out exists, so a refused run leaves nothing behind
+    state = None
+    if args.phase == "long":
+        if not args.checkpoint:
+            raise ConfigError("--phase long requires --checkpoint from the short phase")
+        state, model_cfg, _scenario = _load_checkpoint(args.checkpoint, cfg, args.dataset)
+    elif args.resume:
+        state, model_cfg, scenario = load_train_state(args.resume, cfg.optimizer)
+        _require_match(f"checkpoint {args.resume}", "the run config",
+                       model=(model_cfg, cfg.model), scenario=(scenario, cfg.scenario))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dump_config(cfg, out / "resolved_config.json")
-    rng = RngStream(cfg.seed)
     log_lines: list[str] = []
     if args.phase == "short":
-        state = None
-        if args.resume:
-            state, model_cfg, scenario = load_train_state(args.resume, cfg.optimizer)
-            _require_match(f"checkpoint {args.resume}", "the run config",
-                           model=(model_cfg, cfg.model), scenario=(scenario, cfg.scenario))
         state = train_short_term(
-            dataset, cfg.model, cfg.loss, cfg.optimizer, rng,
+            dataset, cfg.model, cfg.loss, cfg.optimizer, RngStream(cfg.seed),
             windowing=cfg.windowing, out_dir=out, state=state, log_lines=log_lines,
         )
         print(f"best held-out mAP {state.best_map:.4f}")
     else:
-        if not args.checkpoint:
-            raise ConfigError("--phase long requires --checkpoint from the short phase")
-        state, model_cfg, _scenario = _load_checkpoint(args.checkpoint, cfg, args.dataset)
         weights, report = train_long_term(
             state, dataset, model_cfg, cfg.loss, cfg.optimizer, cfg.windowing
         )

@@ -115,13 +115,7 @@ def load_config(path) -> RunConfig:
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    out = {"seed": cfg.seed}
-    for name in _SECTIONS:
-        section = {}
-        for f in dataclasses.fields(getattr(cfg, name)):
-            v = getattr(getattr(cfg, name), f.name)
-            section[f.name] = list(v) if isinstance(v, tuple) else v
-        out[name] = section
+    out = dataclasses.asdict(cfg)
     del out["scenario"]["seed"]  # derived from the top-level seed
     return out
 

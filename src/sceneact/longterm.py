@@ -66,8 +66,8 @@ class WindowingConfig:
         return len(self.offsets)
 
     @classmethod
-    def short_term(cls, t_before: float = 1.05, t_after: float = 1.05) -> "WindowingConfig":
-        return cls(t_before, t_after, 0.0, 0.0)
+    def short_term(cls) -> "WindowingConfig":
+        return cls(long_before=0.0, long_after=0.0)
 
     @classmethod
     def from_support(cls, support_seconds: float, t_before: float = 1.05,
@@ -250,7 +250,6 @@ def train_aggregation(
     loss_cfg: LossConfig,
     lr: float = 1e-2,
     epochs: int = 150,
-    weight_decay: float = 0.0,
 ) -> AggregationWeights:
     """Fit aggregation weights with the relation model frozen.
 
@@ -269,7 +268,7 @@ def train_aggregation(
     scores, targets = precompute_windowed(params, cfg, clips, windowing, grid_t, loss_cfg)
     init = AggregationWeights.initial(windowing, cfg.num_classes)
     weight_param = ad.Parameter("aggregation.weights", init.weights)
-    opt = AdamW([weight_param], lr=lr, weight_decay=weight_decay)
+    opt = AdamW([weight_param], lr=lr)
     for _epoch in range(epochs):
         weight_param.zero_grad()
         ad.backward(aggregation_loss(weight_param, scores, targets, loss_cfg))

@@ -38,10 +38,29 @@ CATEGORIES = ("pose", "person-person", "person-object")
 
 DUMMY_BOX = BoundingBox(0.495, 0.495, 0.505, 0.505)
 
+# Fixed shape of the synthetic world, shared by every scenario.
+CONFIDENCE_FLOOR = 0.75  # lower bound of genuine-detection confidence
+MOMENTARY_SPAN = (0.6, 1.2)  # range of an action's seconds on each side of the keyframe
+SUSTAINED_SPAN = (2.0, 7.0)
+OBJECT_PROBABILITY = 0.7
+PAIR_PROBABILITY = 0.7  # chance a two-actor clip forms a close pair
+PAIR_DISTANCE_MAX = 0.32
+MIN_SEPARATION = 0.25
+BOX_SIZE_RANGE = (0.10, 0.20)
+APPEARANCE_PROTOTYPES = 8
+TIMELINE_EXTENT = 8  # whole seconds covered on each side of the keyframe
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Knobs of the synthetic world; defaults give the standard benchmark."""
+    """Knobs of the synthetic world; defaults give the standard benchmark.
+
+    Detector quality, scene signal strength and the action mix are
+    settable. The world's fixed shape (action spans, pair and object
+    odds, actor spacing, box sizes, appearance prototypes, timeline
+    extent, detector confidence floor) is set by the module constants
+    above.
+    """
 
     seed: int = 0
     num_actors: tuple[int, int] = (1, 2)
@@ -55,20 +74,9 @@ class ScenarioConfig:
     box_jitter: float = 0.003
     false_positive_rate: float = 0.3
     false_negative_rate: float = 0.01
-    confidence_calibration: float = 0.75  # lower bound of genuine-detection confidence
     signature_magnitude: float = 4.5
     scene_noise: float = 0.1
     momentary_fraction: float = 0.10
-    momentary_span: tuple[float, float] = (0.6, 1.2)
-    sustained_span: tuple[float, float] = (2.0, 7.0)
-    object_probability: float = 0.7
-    pair_probability: float = 0.7  # chance a two-actor clip forms a close pair
-    pair_distance_max: float = 0.32
-    min_separation: float = 0.25
-    box_size_range: tuple[float, float] = (0.10, 0.20)
-    appearance_prototypes: int = 8  # 0 draws each actor fresh
-    appearance_noise: float = 0.0
-    timeline_extent: float = 8.0  # seconds covered on each side of the keyframe
     train_clips: int = 200
     eval_clips: int = 50
 
@@ -177,20 +185,20 @@ def _round6(x: float) -> float:
     return round(float(x), 6)
 
 
-def _sample_box(gen: np.random.Generator, size_range: tuple[float, float]) -> BoundingBox:
+def _sample_box(gen: np.random.Generator) -> BoundingBox:
     cx = gen.uniform(0.15, 0.85)
     cy = gen.uniform(0.15, 0.85)
-    w = gen.uniform(*size_range)
-    h = gen.uniform(*size_range)
+    w = gen.uniform(*BOX_SIZE_RANGE)
+    h = gen.uniform(*BOX_SIZE_RANGE)
     box = sanitize_box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
     return BoundingBox(*(_round6(c) for c in box.corners()))
 
 
 @functools.lru_cache(maxsize=8)
-def appearance_bank(seed: int, prototypes: int, actor_dim: int) -> np.ndarray:
+def appearance_bank(seed: int, actor_dim: int) -> np.ndarray:
     """Shared appearance prototypes; class-independent by construction."""
     gen = RngStream(seed).child_named("appearances").generator()
-    bank = gen.standard_normal((prototypes, actor_dim))
+    bank = gen.standard_normal((APPEARANCE_PROTOTYPES, actor_dim))
     return bank / np.linalg.norm(bank, axis=1, keepdims=True)
 
 
@@ -215,7 +223,7 @@ def _place_actors(cfg: ScenarioConfig, gen: np.random.Generator):
     both participants and by nobody else.
     """
     n_actors = int(gen.integers(cfg.num_actors[0], cfg.num_actors[1] + 1))
-    want_pair = n_actors >= 2 and gen.random() < cfg.pair_probability
+    want_pair = n_actors >= 2 and gen.random() < PAIR_PROBABILITY
 
     boxes: list[BoundingBox] = []
     pairs: list[tuple[int, int]] = []
@@ -226,15 +234,15 @@ def _place_actors(cfg: ScenarioConfig, gen: np.random.Generator):
 
     if want_pair:
         for _attempt in range(500):
-            a = _sample_box(gen, cfg.box_size_range)
-            d = gen.uniform(cfg.min_separation, cfg.pair_distance_max)
+            a = _sample_box(gen)
+            d = gen.uniform(MIN_SEPARATION, PAIR_DISTANCE_MAX)
             angle = gen.uniform(0.0, 2.0 * np.pi)
             cx = a.center[0] + d * np.cos(angle)
             cy = a.center[1] + d * np.sin(angle)
             if not (0.15 <= cx <= 0.85 and 0.15 <= cy <= 0.85):
                 continue
-            w = gen.uniform(*cfg.box_size_range)
-            h = gen.uniform(*cfg.box_size_range)
+            w = gen.uniform(*BOX_SIZE_RANGE)
+            h = gen.uniform(*BOX_SIZE_RANGE)
             b = sanitize_box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
             b = BoundingBox(*(_round6(c) for c in b.corners()))
             ca, cb = _cell_of(cfg, *a.center), _cell_of(cfg, *b.center)
@@ -248,9 +256,9 @@ def _place_actors(cfg: ScenarioConfig, gen: np.random.Generator):
 
     while len(boxes) < n_actors:
         for _attempt in range(200):
-            box = _sample_box(gen, cfg.box_size_range)
+            box = _sample_box(gen)
             if cells_ok(box.center, boxes) and all(
-                math.dist(box.center, b.center) >= cfg.min_separation for b in boxes
+                math.dist(box.center, b.center) >= MIN_SEPARATION for b in boxes
             ):
                 boxes.append(box)
                 break
@@ -261,7 +269,7 @@ def _place_actors(cfg: ScenarioConfig, gen: np.random.Generator):
 
 def _interval(cfg: ScenarioConfig, gen: np.random.Generator) -> tuple[float, float, bool]:
     momentary = gen.random() < cfg.momentary_fraction
-    lo, hi = cfg.momentary_span if momentary else cfg.sustained_span
+    lo, hi = MOMENTARY_SPAN if momentary else SUSTAINED_SPAN
     before = gen.uniform(lo, hi)
     after = gen.uniform(lo, hi)
     return -before, after, momentary
@@ -280,14 +288,9 @@ def generate_clip(cfg: ScenarioConfig, rng: RngStream, clip_id: str = "clip",
     n_actors = len(boxes)
 
     labels = np.zeros((n_actors, cfg.num_classes))
-    if cfg.appearance_prototypes > 0:
-        bank = appearance_bank(cfg.seed, cfg.appearance_prototypes, cfg.actor_dim)
-        picks = g_world.integers(0, cfg.appearance_prototypes, size=n_actors)
-        appearances = bank[picks] + cfg.appearance_noise * g_world.standard_normal(
-            (n_actors, cfg.actor_dim)
-        )
-    else:
-        appearances = g_world.standard_normal((n_actors, cfg.actor_dim))
+    picks = g_world.integers(0, APPEARANCE_PROTOTYPES, size=n_actors)
+    g_world.standard_normal((n_actors, cfg.actor_dim))  # unused; keeps later world draws in place
+    appearances = appearance_bank(cfg.seed, cfg.actor_dim)[picks]
     appearances /= np.linalg.norm(appearances, axis=1, keepdims=True)
     instances: list[ActionInstance] = []
 
@@ -302,15 +305,14 @@ def generate_clip(cfg: ScenarioConfig, rng: RngStream, clip_id: str = "clip",
     for i, box in enumerate(boxes):
         center_cell = _cell_of(cfg, *box.center)
         add_instance(int(g_world.integers(0, per)), (i,), (center_cell,))
-        if g_world.random() < cfg.object_probability:
+        if g_world.random() < OBJECT_PROBABILITY:
             add_instance(int(g_world.integers(2 * per, 3 * per)), (i,), (center_cell,))
     for i, j in pairs:
         ci, cj = boxes[i].center, boxes[j].center
         mid_cell = _cell_of(cfg, 0.5 * (ci[0] + cj[0]), 0.5 * (ci[1] + cj[1]))
         add_instance(int(g_world.integers(per, 2 * per)), (i, j), (mid_cell,))
 
-    extent = int(math.ceil(cfg.timeline_extent))
-    offsets = np.arange(-extent, extent + 1, dtype=np.float64)
+    offsets = np.arange(-TIMELINE_EXTENT, TIMELINE_EXTENT + 1, dtype=np.float64)
     timeline = g_scene.standard_normal((len(offsets), cfg.grid_h, cfg.grid_w, cfg.scene_dim))
     timeline *= cfg.scene_noise
     for inst in instances:
@@ -325,14 +327,14 @@ def generate_clip(cfg: ScenarioConfig, rng: RngStream, clip_id: str = "clip",
         jitter = g_det.normal(0.0, cfg.box_jitter, size=4)
         det_box = sanitize_box(*(c + j for c, j in zip(box.corners(), jitter)))
         det_box = BoundingBox(*(_round6(c) for c in det_box.corners()))
-        score = g_det.uniform(cfg.confidence_calibration, 0.98)
+        score = g_det.uniform(CONFIDENCE_FLOOR, 0.98)
         detections.append(
             ActorProposal(det_box, _round6(score), appearances[i].copy(), geometry_vector(det_box))
         )
     free = max(0, cfg.proposal_count - len(detections))
     for _ in range(free):
         if g_det.random() < cfg.false_positive_rate:
-            fp_box = _sample_box(g_det, cfg.box_size_range)
+            fp_box = _sample_box(g_det)
             feature = g_det.standard_normal(cfg.actor_dim)
             feature /= np.linalg.norm(feature)
             detections.append(
@@ -578,7 +580,7 @@ def oracle_scene_detections(clip: ClipSample, cfg: ScenarioConfig,
             _cell_of(cfg, 0.5 * (centers[i][0] + centers[j][0]),
                      0.5 * (centers[i][1] + centers[j][1]))
             for j in range(len(centers))
-            if j != i and math.dist(centers[i], centers[j]) <= cfg.pair_distance_max
+            if j != i and math.dist(centers[i], centers[j]) <= PAIR_DISTANCE_MAX
         ]
         for k in range(cfg.num_classes):
             cells = mids if per <= k < 2 * per else [own]

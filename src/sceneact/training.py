@@ -13,7 +13,7 @@ uninterrupted trajectory bit for bit.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,28 +49,28 @@ from .synthdata import (
 
 log = logging.getLogger(__name__)
 
+CLIP_NORM = 1.0  # global gradient-norm ceiling of each phase-1 step
+AUGMENT_RANGE = 1.5  # seconds of uniform temporal jitter per phase-1 sample
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Decoupled-weight-decay adaptive-gradient settings.
+    """Phase-1 AdamW schedule and the phase-2 fit length.
 
     The published schedule (lr 1e-4, 8 epochs, batch 16, decay at epoch
     6, weight decay 1e-4) targets large pretrained backbones; the
-    defaults here are the faster desk-scale schedule.
+    defaults here are the faster desk-scale schedule. AdamW's betas and
+    eps are its own defaults, gradient clipping and temporal
+    augmentation are ``CLIP_NORM`` and ``AUGMENT_RANGE``, and the
+    phase-2 fit keeps ``train_aggregation``'s learning rate.
     """
 
     lr: float = 1e-3
     weight_decay: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs: int = 30
     batch_size: int = 4
     decay_epoch: int = 24
     decay_factor: float = 0.1
-    clip_norm: float = 1.0
-    augment_range: float = 1.5
-    aggregation_lr: float = 1e-2
     aggregation_epochs: int = 150
 
     def __post_init__(self):
@@ -263,9 +263,7 @@ def train_short_term(
     if state is None:
         params = init_params(model_cfg, scenario.actor_dim, scenario.scene_dim,
                              rng.child_named("init"))
-        opt = AdamW([p for p in params.parameters()], lr=opt_cfg.lr,
-                    beta1=opt_cfg.beta1, beta2=opt_cfg.beta2, eps=opt_cfg.eps,
-                    weight_decay=opt_cfg.weight_decay)
+        opt = AdamW(params.parameters(), lr=opt_cfg.lr, weight_decay=opt_cfg.weight_decay)
         state = TrainState(params, opt)
     params, opt = state.params, state.optimizer
     trainable = params.parameters()
@@ -283,7 +281,7 @@ def train_short_term(
             total = None
             for j, clip in enumerate(batch):
                 aug = temporal_augment(
-                    clip, opt_cfg.augment_range,
+                    clip, AUGMENT_RANGE,
                     rng.child_named("aug").child(epoch, state.step, j),
                 )
                 grid = (
@@ -314,7 +312,7 @@ def train_short_term(
                     },
                 )
             ad.backward(total)
-            clip_gradients(trainable, opt_cfg.clip_norm)
+            clip_gradients(trainable, CLIP_NORM)
             opt.step(lr_scale)
             epoch_losses.append(loss_value)
             if log_lines is not None:
@@ -360,7 +358,7 @@ def train_long_term(
     # train_aggregation raises if the frozen parameters drift
     weights = train_aggregation(
         params, model_cfg, dataset.train, windowing, scenario.grid_t, loss_cfg,
-        lr=opt_cfg.aggregation_lr, epochs=opt_cfg.aggregation_epochs,
+        epochs=opt_cfg.aggregation_epochs,
     )
     windowed = [
         run_windowed(params, model_cfg, clip, windowing, scenario.grid_t)
@@ -400,10 +398,7 @@ def save_train_state(path, state: TrainState, model_cfg: ModelConfig,
             "weights": state.aggregation.weights,
             "offsets": np.array(state.aggregation.offsets, dtype=np.float64),
         }
-    meta = {
-        "model": _cfg_dict(model_cfg),
-        "scenario": _cfg_dict(scenario),
-    }
+    meta = {"model": asdict(model_cfg), "scenario": asdict(scenario)}
     save_checkpoint(path, sections, meta)
 
 
@@ -414,8 +409,7 @@ def load_train_state(path, opt_cfg: OptimizerConfig) -> tuple[TrainState, ModelC
     params = init_params(model_cfg, scenario.actor_dim, scenario.scene_dim, RngStream(0))
     for p in params.parameters():
         p.assign(sections["model"][p.name])
-    opt = AdamW(params.parameters(), lr=opt_cfg.lr, beta1=opt_cfg.beta1,
-                beta2=opt_cfg.beta2, eps=opt_cfg.eps, weight_decay=opt_cfg.weight_decay)
+    opt = AdamW(params.parameters(), lr=opt_cfg.lr, weight_decay=opt_cfg.weight_decay)
     opt.load_state_arrays(sections["optimizer"])
     state = TrainState(
         params,
@@ -428,13 +422,6 @@ def load_train_state(path, opt_cfg: OptimizerConfig) -> tuple[TrainState, ModelC
         offsets = tuple(int(o) for o in sections["aggregation"]["offsets"])
         state.aggregation = AggregationWeights(offsets, sections["aggregation"]["weights"])
     return state, model_cfg, scenario
-
-
-def _cfg_dict(cfg) -> dict:
-    out = {}
-    for name, value in vars(cfg).items():
-        out[name] = list(value) if isinstance(value, tuple) else value
-    return out
 
 
 def _cfg_from_meta(cls, meta: dict, section: str, path):

@@ -46,10 +46,21 @@ def workspace(tmp_path_factory):
     return root, cfg_path, data_dir, out_dir
 
 
+# former config fields, now constants of synthdata and training
+REMOVED_KEYS = [("scenario", k) for k in (
+    "confidence_calibration", "momentary_span", "sustained_span", "object_probability",
+    "pair_probability", "pair_distance_max", "min_separation", "box_size_range",
+    "appearance_prototypes", "appearance_noise", "timeline_extent",
+)] + [("optimizer", k) for k in (
+    "beta1", "beta2", "eps", "clip_norm", "augment_range", "aggregation_lr",
+)]
+
+
 class TestConfigLoading:
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="typo_key"):
-            config_from_dict({"scenario": {"typo_key": 3}})
+    @pytest.mark.parametrize("section,key", [("scenario", "typo_key")] + REMOVED_KEYS)
+    def test_unknown_key_rejected(self, section, key):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict({section: {key: 3}})
 
     def test_unknown_top_level_rejected(self):
         with pytest.raises(ConfigError, match="extra"):
@@ -178,6 +189,7 @@ class TestCheckpointMatchesRun:
         err = capsys.readouterr().err
         assert str(out_dir / "last.ckpt") in err
         assert "'embed_dim'" in err and "'layers'" in err and "'dropout'" in err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--out", "{tmp}/eval"],
@@ -192,6 +204,7 @@ class TestCheckpointMatchesRun:
         err = capsys.readouterr().err
         assert "'actor_dim'" in err and str(other_dims) in err
         assert not (tmp_path / "attn.csv").exists() and not (tmp_path / "eval").exists()
+        assert not (tmp_path / "lt").exists()
 
 
 class TestNanAbort:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sceneact import model as mdl
+from sceneact import training
 from sceneact.checkpoint import params_hash
 from sceneact.longterm import WindowingConfig
 from sceneact.matching import LossConfig
@@ -15,6 +16,7 @@ from sceneact.training import (
     clip_gradients,
     evaluate_short_term,
     load_train_state,
+    predict_clip,
     save_train_state,
     train_long_term,
     train_short_term,
@@ -174,3 +176,42 @@ class TestLongTermTraining:
         short = evaluate_short_term(state.params, MODEL, dataset.eval, SCENARIO, single)
         assert report["long_term_map"] == pytest.approx(short.mean_ap, abs=1e-9)
         assert report["short_term_map"] == pytest.approx(short.mean_ap, abs=1e-9)
+
+
+class TestSceneBlind:
+    """``use_scene=False``, the actor-only ablation, never reads the scene timeline."""
+
+    def test_predictions_ignore_timeline(self, dataset):
+        params = mdl.init_params(MODEL, SCENARIO.actor_dim, SCENARIO.scene_dim, RngStream(5))
+        clip = dataset.eval[0]
+        noise = np.random.default_rng(0).standard_normal(clip.timeline.shape)
+        other = dataclasses.replace(clip, timeline=noise)
+        blind = [predict_clip(params, MODEL, c, WINDOW, SCENARIO.grid_t, use_scene=False)
+                 for c in (clip, other)]
+        seeing = [predict_clip(params, MODEL, c, WINDOW, SCENARIO.grid_t) for c in (clip, other)]
+        np.testing.assert_array_equal(blind[0].action_scores, blind[1].action_scores)
+        assert not np.array_equal(seeing[0].action_scores, seeing[1].action_scores)
+
+    def test_one_epoch_has_finite_losses(self, dataset):
+        log_lines = []
+        state = train_short_term(dataset, MODEL, LossConfig(), opt_cfg(epochs=1), RngStream(5),
+                                 windowing=WINDOW, use_scene=False, log_lines=log_lines)
+        losses = [float(l.split()[3]) for l in log_lines if l.startswith("step")]
+        assert len(losses) == 3 and np.all(np.isfinite(losses))
+        assert state.epoch == 1 and np.isfinite(state.history[0][1])
+
+    def test_one_epoch_builds_no_grid(self, dataset, monkeypatch):
+        real_grid = training.keyframe_grid
+        calls = []
+
+        def counting_grid(clip, *args):
+            calls.append(clip.clip_id)
+            return real_grid(clip, *args)
+
+        monkeypatch.setattr(training, "keyframe_grid", counting_grid)
+        state = train_short_term(dataset, MODEL, LossConfig(), opt_cfg(epochs=1), RngStream(5),
+                                 windowing=WINDOW, use_scene=False)
+        assert calls == []
+        # the patched name is the one a scene-aware run goes through
+        predict_clip(state.params, MODEL, dataset.eval[0], WINDOW, SCENARIO.grid_t)
+        assert calls == [dataset.eval[0].clip_id]
