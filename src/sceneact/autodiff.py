@@ -31,7 +31,12 @@ _recording = True
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph recording inside the context (inference paths)."""
+    """Disable graph recording inside the context (inference paths).
+
+    The flag is process-wide, not per thread: enter the context once in the
+    calling thread around work it hands to worker threads, never inside a
+    worker, where its exit would re-enable recording under the others.
+    """
     global _recording
     prev, _recording = _recording, False
     try:

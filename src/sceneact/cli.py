@@ -170,6 +170,15 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"checkpoint was trained with variant {model_cfg.variant!r}, not {args.variant!r}"
         )
+    # resolve every weighted fusion first, so a refused eval writes no report
+    supports = []
+    for support in args.support or []:
+        windowing = WindowingConfig.from_support(
+            float(support), cfg.windowing.t_before, cfg.windowing.t_after, cfg.windowing.stride
+        )
+        supports.append((support, windowing, _weights_for(state, windowing, model_cfg)))
+    strategy_weights = (_weights_for(state, cfg.windowing, model_cfg)
+                        if "weighted" in (args.strategy or []) else None)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     clips = dataset.eval
@@ -196,14 +205,10 @@ def cmd_eval(args) -> int:
         write_report(report, out, name)
         ran.append((name, report.mean_ap))
 
-    for support in args.support or []:
-        windowing = WindowingConfig.from_support(
-            float(support), cfg.windowing.t_before, cfg.windowing.t_after, cfg.windowing.stride
-        )
+    for support, windowing, weights in supports:
         windowed = [
             run_windowed(state.params, model_cfg, c, windowing, scenario.grid_t) for c in clips
         ]
-        weights = _weights_for(state, windowing, model_cfg)
         report = evaluate_longterm(windowed, scenario, weights)
         name = f"support_{float(support):g}s"
         write_report(report, out, name)
@@ -214,7 +219,7 @@ def cmd_eval(args) -> int:
             run_windowed(state.params, model_cfg, c, cfg.windowing, scenario.grid_t)
             for c in clips
         ]
-        weights = _weights_for(state, cfg.windowing, model_cfg) if strategy == "weighted" else None
+        weights = strategy_weights if strategy == "weighted" else None
         report = evaluate_longterm(
             windowed, scenario, weights, strategy=strategy, topk=args.topk_k
         )
@@ -229,9 +234,20 @@ def cmd_eval(args) -> int:
 
 def _weights_for(state: TrainState, windowing: WindowingConfig,
                  model_cfg) -> AggregationWeights:
-    if state.aggregation is not None and tuple(windowing.offsets) == state.aggregation.offsets:
-        return state.aggregation
-    return AggregationWeights.initial(windowing, model_cfg.num_classes)
+    """The checkpoint's fitted weights, or the one-hot start if it holds none.
+
+    Fitted weights for other window offsets are refused: one-hot fusion in
+    their place would report the short-term mAP under a long-term name.
+    """
+    if state.aggregation is None:
+        return AggregationWeights.initial(windowing, model_cfg.num_classes)
+    if tuple(windowing.offsets) != state.aggregation.offsets:
+        raise ConfigError(
+            f"the checkpoint's aggregation weights were fitted for window offsets "
+            f"{list(state.aggregation.offsets)}, not {list(windowing.offsets)}; fit them for "
+            f"this support with train --phase long and a matching windowing section"
+        )
+    return state.aggregation
 
 
 def cmd_inspect(args) -> int:

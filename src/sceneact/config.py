@@ -65,10 +65,6 @@ def _coerce(value, path: str):
 def _build_section(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - names)
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {unknown}")
     kwargs = {k: _coerce(v, f"{path}.{k}") for k, v in data.items()}
     try:
         return cls(**kwargs)
@@ -80,8 +76,15 @@ def config_from_dict(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be an object")
     unknown = sorted(set(data) - (set(_SECTIONS) | {"seed"}))
-    if unknown:
-        raise ConfigError(f"unknown top-level keys {unknown}")
+    found = [f"unknown top-level keys {unknown}"] if unknown else []
+    for name, cls in _SECTIONS.items():
+        section = data.get(name)
+        if isinstance(section, dict):
+            keys = sorted(set(section) - {f.name for f in dataclasses.fields(cls)})
+            if keys:
+                found.append(f"{name}: unknown keys {keys}")
+    if found:
+        raise ConfigError("; ".join(found))
     seed = data.get("seed", RunConfig().seed)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError(f"seed must be an integer, got {seed!r}")

@@ -21,7 +21,10 @@ short-term model.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +39,9 @@ from .synthdata import ClipSample, ground_truth_set, window_grid
 STRATEGIES = ("weighted", "max", "avg", "topk")
 
 _PROB_EPS = 1e-9  # probability clamp before taking logits
+# from_support rounds spans to this many decimals of a second: far finer than
+# any stride, far coarser than the float error of subtracting T_p and T_f
+_SPAN_DECIMALS = 9
 
 
 @dataclass(frozen=True)
@@ -72,8 +78,13 @@ class WindowingConfig:
     @classmethod
     def from_support(cls, support_seconds: float, t_before: float = 1.05,
                      t_after: float = 1.05, stride: float = 1.0) -> "WindowingConfig":
-        """Total temporal support -> symmetric long spans around the keyframe."""
-        span = max(0.0, (support_seconds - t_before - t_after) / 2.0)
+        """Total temporal support -> symmetric long spans around the keyframe.
+
+        The span is rounded before ``offsets`` floors it by the stride, so
+        ``2 * L + T_p + T_f`` gives back ``L``: unrounded, 14.1 s would give
+        a span of 5.999999999999999 s and 11 windows where 6 s gives 13.
+        """
+        span = max(0.0, round((support_seconds - t_before - t_after) / 2.0, _SPAN_DECIMALS))
         return cls(t_before, t_after, span, span, stride)
 
 
@@ -116,6 +127,16 @@ class WindowedScores:
     scores: np.ndarray  # (num_windows, num_classes, K) post-sigmoid
 
 
+@functools.cache
+def _window_pool() -> ThreadPoolExecutor:
+    """The process's window workers, one per usable CPU, made on first use."""
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        workers = os.cpu_count() or 1
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="sceneact-window")
+
+
 def run_windowed(
     params: mdl.ModelParams,
     cfg: mdl.ModelConfig,
@@ -123,15 +144,28 @@ def run_windowed(
     windowing: WindowingConfig,
     grid_t: int,
 ) -> WindowedScores:
-    """Inference over every window; boxes and proposals stay the keyframe's."""
-    per_window = []
+    """Inference over every window; boxes and proposals stay the keyframe's.
+
+    Grids are built here, in window order (so are their clamp log lines);
+    the forwards run on ``_window_pool``. Each window runs the same ops as
+    a serial loop, so the scores are bit-identical to one. The first
+    window that raises has its error re-raised, after every window ended.
+    """
+    grids = [window_grid(clip, interval, grid_t)
+             for _n, interval in windows(windowing, clip.keyframe_time)]
+
+    def scores(grid):
+        logits = mdl.forward_actions(params, cfg, clip.proposals, grid, RngStream(0),
+                                     training=False)
+        return ad._sigmoid(logits.data)
+
+    pool = _window_pool()
+    # no_grad is process-wide: entered once here, it covers every worker
     with ad.no_grad():
-        for n, interval in windows(windowing, clip.keyframe_time):
-            grid = window_grid(clip, interval, grid_t)
-            logits = mdl.forward_actions(params, cfg, clip.proposals, grid, RngStream(0),
-                                         training=False)
-            per_window.append(ad._sigmoid(logits.data))
-    return WindowedScores(clip, tuple(windowing.offsets), np.stack(per_window))
+        futures = [pool.submit(scores, grid) for grid in grids]
+        wait(futures)
+    return WindowedScores(clip, tuple(windowing.offsets),
+                          np.stack([f.result() for f in futures]))
 
 
 def _strategy_weights(scores: np.ndarray, strategy: str, weights: AggregationWeights | None,

@@ -62,6 +62,12 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=key):
             config_from_dict({section: {key: 3}})
 
+    def test_unknown_keys_of_every_section_reported_together(self):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict({"scenario": {"bogus": 1}, "optimizer": {"nope": 2}})
+        assert "scenario" in str(err.value) and "bogus" in str(err.value)
+        assert "optimizer" in str(err.value) and "nope" in str(err.value)
+
     def test_unknown_top_level_rejected(self):
         with pytest.raises(ConfigError, match="extra"):
             config_from_dict({"extra": {}})
@@ -283,6 +289,36 @@ class TestTrainEvalInspect:
                      str(data_dir), "--out", str(d2), "--topk"]) == 0
         ap1 = (d1 / "support_2.1s_per_class.csv").read_text().splitlines()[1:]
         ap2 = (d2 / "sampling_topk_per_class.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[3] for r in ap1] == [r.split(",")[3] for r in ap2]
+
+    def test_eval_support_needs_weights_fitted_for_its_offsets(self, workspace, tmp_path,
+                                                               capsys):
+        _root, cfg_path, data_dir, out_dir = workspace
+        lt_dir = tmp_path / "lt"
+        assert main(["train", "--config", str(cfg_path), "--dataset", str(data_dir),
+                     "--out", str(lt_dir), "--phase", "long",
+                     "--checkpoint", str(out_dir / "best.ckpt")]) == 0
+        lt_ckpt = str(lt_dir / "longterm.ckpt")
+        refused = tmp_path / "refused"
+        assert main(["eval", "--checkpoint", lt_ckpt, "--dataset", str(data_dir),
+                     "--out", str(refused), "--support", "4.1"]) == 1
+        err = capsys.readouterr().err
+        assert "[-2, -1, 0, 1, 2]" in err and "[-1, 0, 1]" in err
+        assert not refused.exists()
+        # 2 * 2 + 2.1 s is the fitted offsets' own support: it fuses with the fitted weights
+        fitted = tmp_path / "fitted"
+        assert main(["eval", "--checkpoint", lt_ckpt, "--dataset", str(data_dir),
+                     "--out", str(fitted), "--support", "6.1", "--strategy", "weighted"]) == 0
+        assert ((fitted / "support_6.1s_per_class.csv").read_text()
+                == (fitted / "strategy_weighted_per_class.csv").read_text())
+
+    def test_eval_support_without_fitted_weights_starts_one_hot(self, workspace, tmp_path):
+        _root, _cfg, data_dir, out_dir = workspace
+        eval_dir = tmp_path / "sup"
+        assert main(["eval", "--checkpoint", str(out_dir / "best.ckpt"), "--dataset",
+                     str(data_dir), "--out", str(eval_dir), "--support", "4.1", "--topk"]) == 0
+        ap1 = (eval_dir / "support_4.1s_per_class.csv").read_text().splitlines()[1:]
+        ap2 = (eval_dir / "sampling_topk_per_class.csv").read_text().splitlines()[1:]
         assert [r.split(",")[3] for r in ap1] == [r.split(",")[3] for r in ap2]
 
     def test_eval_variant_mismatch_rejected(self, workspace, tmp_path):

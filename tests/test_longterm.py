@@ -1,11 +1,13 @@
 import dataclasses
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from sceneact import autodiff as ad
+from sceneact import longterm
 from sceneact import model as mdl
-from sceneact.errors import ConfigError, ContractError
+from sceneact.errors import ConfigError, ContractError, DimensionError
 from sceneact.longterm import (
     AggregationWeights,
     WindowedScores,
@@ -19,13 +21,20 @@ from sceneact.longterm import (
 )
 from sceneact.matching import LossConfig, match, set_loss
 from sceneact.rng import RngStream
-from sceneact.synthdata import ScenarioConfig, generate_clip, generate_dataset, ground_truth_set
+from sceneact.synthdata import (
+    ScenarioConfig,
+    generate_clip,
+    generate_dataset,
+    ground_truth_set,
+    keyframe_grid,
+    window_grid,
+)
 from sceneact.checkpoint import params_hash
 
 
-def tiny_model(scenario, seed=3, layers=1):
+def tiny_model(scenario, seed=3, layers=1, variant="unified"):
     cfg = mdl.ModelConfig(embed_dim=8, layers=layers, heads=2, ffn_dim=16, dropout=0.0,
-                          num_classes=scenario.num_classes)
+                          variant=variant, num_classes=scenario.num_classes)
     params = mdl.init_params(cfg, scenario.actor_dim, scenario.scene_dim, RngStream(seed))
     return cfg, params
 
@@ -64,6 +73,11 @@ class TestWindows:
         assert single.num_windows == 1
         twelve = WindowingConfig.from_support(12.0)
         assert twelve.long_before == pytest.approx(4.95)
+
+    @pytest.mark.parametrize("support,count", [(4.1, 3), (8.1, 7), (14.1, 13)])
+    def test_from_support_round_trips_whole_strides(self, support, count):
+        # (14.1 - 2.1) / 2 is 5.999999999999999 in floating point
+        assert WindowingConfig.from_support(support).num_windows == count
 
 
 def make_scores(gen, n_win=3, ncls=4, k=5):
@@ -161,6 +175,46 @@ class TestRunWindowed:
         ws = run_windowed(params, cfg, clip, WindowingConfig(), scenario.grid_t)
         spread = np.abs(ws.scores - ws.scores[ws.offsets.index(0)]).max()
         assert spread > 1e-6
+
+
+@pytest.fixture
+def two_window_workers(monkeypatch):
+    """Two workers for run_windowed, so windows overlap even on one CPU."""
+    pool = ThreadPoolExecutor(max_workers=2)
+    monkeypatch.setattr(longterm, "_window_pool", lambda: pool)
+    yield pool
+    pool.shutdown(wait=True)
+
+
+class TestParallelWindows:
+    @pytest.mark.parametrize("variant", ["unified", "encoder_decoder"])
+    def test_scores_equal_serial_loop_bitwise(self, two_window_workers, variant):
+        scenario = small_scenario(momentary_fraction=1.0)
+        cfg, params = tiny_model(scenario, layers=2, variant=variant)
+        clip = generate_clip(scenario, RngStream(903).child(0, 2), "c3", 0.0)
+        windowing = WindowingConfig()
+        ws = run_windowed(params, cfg, clip, windowing, scenario.grid_t)
+        serial = []
+        with ad.no_grad():
+            for _n, interval in windows(windowing, clip.keyframe_time):
+                grid = window_grid(clip, interval, scenario.grid_t)
+                logits = mdl.forward_actions(params, cfg, clip.proposals, grid, RngStream(0),
+                                             training=False)
+                serial.append(ad._sigmoid(logits.data))
+        assert np.array_equal(ws.scores, np.stack(serial))
+
+    def test_window_error_propagates_and_recording_resumes(self, two_window_workers):
+        scenario = small_scenario()
+        cfg, params = tiny_model(scenario)
+        clip = generate_clip(scenario, RngStream(904).child(0, 3), "c4", 0.0)
+        wrong = dataclasses.replace(clip.proposals[0], feature=np.zeros(scenario.actor_dim + 1))
+        bad = dataclasses.replace(clip, proposals=[wrong, *clip.proposals[1:]])
+        with pytest.raises(DimensionError, match="actor feature shape"):
+            run_windowed(params, cfg, bad, WindowingConfig(), scenario.grid_t)
+        grid = keyframe_grid(clip, 1.05, 1.05, scenario.grid_t)
+        logits = mdl.forward_actions(params, cfg, clip.proposals, grid, RngStream(1),
+                                     training=True)
+        assert logits.requires_grad
 
 
 class TestAggregationTraining:
