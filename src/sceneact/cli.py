@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -163,18 +164,37 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _finite(flag: str, text: str) -> float:
+    """``text`` as a finite number, else a ``ConfigError`` naming ``flag``."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{flag} takes a finite number, got {text!r}")
+    return value
+
+
 def cmd_eval(args) -> int:
+    # check every sweep value and resolve every weighted fusion before --out exists,
+    # so a refused eval writes nothing
+    if args.topk_k < 1:
+        raise ConfigError(f"--topk-k must be at least 1, got {args.topk_k}")
+    taus = [_finite("--threshold", text) for text in args.threshold or []]
+    for tau in taus:
+        if not 0.0 <= tau <= 1.0:
+            raise ConfigError(f"--threshold must lie in [0, 1], got {tau:g}")
+    support_seconds = [_finite("--support", text) for text in args.support or []]
     dataset, cfg = _load_dataset_dir(args.dataset)
     state, model_cfg, scenario = _load_checkpoint(args.checkpoint, cfg, args.dataset)
     if args.variant and args.variant != model_cfg.variant:
         raise ConfigError(
             f"checkpoint was trained with variant {model_cfg.variant!r}, not {args.variant!r}"
         )
-    # resolve every weighted fusion first, so a refused eval writes no report
     supports = []
-    for support in args.support or []:
+    for support in support_seconds:
         windowing = WindowingConfig.from_support(
-            float(support), cfg.windowing.t_before, cfg.windowing.t_after, cfg.windowing.stride
+            support, cfg.windowing.t_before, cfg.windowing.t_after, cfg.windowing.stride
         )
         supports.append((support, windowing, _weights_for(state, windowing, model_cfg)))
     strategy_weights = (_weights_for(state, cfg.windowing, model_cfg)
@@ -184,7 +204,7 @@ def cmd_eval(args) -> int:
     clips = dataset.eval
     ran = []
 
-    thresholds = args.threshold or []
+    thresholds = taus
     if args.topk:
         thresholds = thresholds + ["topk"]
     if not thresholds and not args.support and not args.strategy:
@@ -199,9 +219,9 @@ def cmd_eval(args) -> int:
         else:
             report = evaluate_short_term(
                 state.params, model_cfg, clips, scenario, cfg.windowing,
-                proposal_mode="threshold", proposal_tau=float(tau),
+                proposal_mode="threshold", proposal_tau=tau,
             )
-            name = f"sampling_tau_{float(tau):g}"
+            name = f"sampling_tau_{tau:g}"
         write_report(report, out, name)
         ran.append((name, report.mean_ap))
 
@@ -210,7 +230,7 @@ def cmd_eval(args) -> int:
             run_windowed(state.params, model_cfg, c, windowing, scenario.grid_t) for c in clips
         ]
         report = evaluate_longterm(windowed, scenario, weights)
-        name = f"support_{float(support):g}s"
+        name = f"support_{support:g}s"
         write_report(report, out, name)
         ran.append((name, report.mean_ap))
 

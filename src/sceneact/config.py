@@ -1,9 +1,10 @@
 """Run configuration: one JSON document covering every subsystem.
 
 Loading is strict: unknown keys anywhere in the document are rejected
-(silent typos are the dominant config failure mode) and field types are
-checked against the dataclass annotations. Every command logs the fully
-resolved configuration it ran with, plus a stable hash of it.
+(silent typos are the dominant config failure mode), so are NaN and
+infinite numbers, and each section checks its own bounds. Every command
+logs the fully resolved configuration it ran with, plus a stable hash of
+it.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,6 +42,10 @@ class RunConfig:
         if self.model.num_classes != self.scenario.num_classes:
             raise ConfigError(f"model.num_classes {self.model.num_classes} differs from "
                               f"scenario.num_classes {self.scenario.num_classes}")
+        for name in ("train_clips", "eval_clips"):  # a run trains, then evaluates
+            if getattr(self.scenario, name) < 1:
+                raise ConfigError(f"scenario.{name} must be at least 1, "
+                                  f"got {getattr(self.scenario, name)}")
 
 
 _SECTIONS = {
@@ -54,9 +60,11 @@ _SECTIONS = {
 def _coerce(value, path: str):
     # json gives lists; tuple-typed fields take tuples
     if isinstance(value, list):
-        return tuple(value)
+        return tuple(_coerce(v, f"{path}[{i}]") for i, v in enumerate(value))
     if isinstance(value, bool) or value is None:
         return value
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path} must be finite, got {value}")
     if isinstance(value, (int, float, str)):
         return value
     raise ConfigError(f"{path}: unsupported value {value!r}")
@@ -99,11 +107,6 @@ def config_from_dict(data: dict) -> RunConfig:
             kwargs[name] = getattr(defaults, name)
     kwargs["scenario"] = dataclasses.replace(kwargs["scenario"], seed=seed)
     return RunConfig(**kwargs)
-
-
-def default_config(seed: int | None = None) -> RunConfig:
-    data = {} if seed is None else {"seed": seed}
-    return config_from_dict(data)
 
 
 def load_config(path) -> RunConfig:

@@ -57,8 +57,8 @@ class WindowingConfig:
     def __post_init__(self):
         if self.stride <= 0:
             raise ConfigError(f"stride must be positive, got {self.stride}")
-        if self.long_before < 0 or self.long_after < 0:
-            raise ConfigError("long spans must be nonnegative")
+        if min(self.t_before, self.t_after, self.long_before, self.long_after) < 0:
+            raise ConfigError("t_before, t_after, long_before and long_after must be nonnegative")
 
     @property
     def offsets(self) -> list[int]:
@@ -82,9 +82,13 @@ class WindowingConfig:
 
         The span is rounded before ``offsets`` floors it by the stride, so
         ``2 * L + T_p + T_f`` gives back ``L``: unrounded, 14.1 s would give
-        a span of 5.999999999999999 s and 11 windows where 6 s gives 13.
+        a span of 5.999999999999999 s and 11 windows where 6 s gives 13. A
+        support shorter than one window, ``T_p + T_f``, is refused.
         """
-        span = max(0.0, round((support_seconds - t_before - t_after) / 2.0, _SPAN_DECIMALS))
+        span = round((support_seconds - t_before - t_after) / 2.0, _SPAN_DECIMALS)
+        if not span >= 0.0:
+            raise ConfigError(f"support {support_seconds:g} s is shorter than one window, "
+                              f"T_p + T_f = {t_before + t_after:g} s")
         return cls(t_before, t_after, span, span, stride)
 
 
@@ -262,12 +266,8 @@ def precompute_windowed(
     all_scores, all_targets = [], []
     for clip in clips:
         ws = run_windowed(params, cfg, clip, windowing, grid_t)
-        keyframe_ix = ws.offsets.index(0)
-        preds = mdl.predictions_from_logits(
-            clip.proposals, ad._logit(ws.scores[keyframe_ix], _PROB_EPS)[0]
-        )
         gts = ground_truth_set(clip, len(clip.proposals))
-        sigma = match(gts, preds, loss_cfg).sigma
+        sigma = match(gts, clip.proposals, loss_cfg).sigma
         all_scores.append(ws.scores[:, :, list(sigma)])
         targets = np.zeros((gts.total, ws.scores.shape[1]))
         targets[: gts.count] = gts.labels

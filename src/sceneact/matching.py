@@ -1,12 +1,12 @@
 """Set matching between padded ground truth and the K predictions.
 
-The (K, K) matching cost combines a sigmoid focal term on the detector
-confidence (and, by ``cost_mode``, on the action logits) with L1 and
-generalized-IoU box terms; padding targets cost zero against every
-prediction. scipy's ``linear_sum_assignment`` finds the optimal
-assignment. The training loss sums the focal classification loss over
-matched action label vectors, where padding targets contribute
-all-negative labels.
+The (K, K) matching cost reads only the detector's outputs: a sigmoid
+focal term on each proposal's confidence plus L1 and generalized-IoU box
+terms weighted by ``L1_WEIGHT`` and ``GIOU_WEIGHT`` (the DETR weights);
+padding targets cost zero against every proposal. scipy's
+``linear_sum_assignment`` finds the optimal assignment. The training
+loss sums the focal classification loss over matched action label
+vectors, where padding targets contribute all-negative labels.
 
 Only action logits carry gradient: the match itself is computed on plain
 floats and is a constant with respect to differentiation.
@@ -26,7 +26,8 @@ from .errors import ContractError, ValidationError
 
 log = logging.getLogger(__name__)
 
-COST_MODES = ("person", "action", "both")
+L1_WEIGHT = 5.0  # box L1 term of the matching cost
+GIOU_WEIGHT = 2.0  # 1 - generalized IoU term of the matching cost
 
 _H_CLIP = 1e-6
 
@@ -35,19 +36,12 @@ _H_CLIP = 1e-6
 class LossConfig:
     focal_alpha: float = 0.25
     focal_gamma: float = 2.0
-    lambda_l1: float = 5.0
-    lambda_giou: float = 2.0
-    cost_mode: str = "person"
 
     def __post_init__(self):
         if not (0.0 < self.focal_alpha < 1.0):
             raise ValidationError(f"focal_alpha must lie in (0,1), got {self.focal_alpha}")
         if self.focal_gamma < 0.0:
             raise ValidationError(f"focal_gamma must be >= 0, got {self.focal_gamma}")
-        if self.lambda_l1 < 0.0 or self.lambda_giou < 0.0:
-            raise ValidationError("lambda weights must be nonnegative")
-        if self.cost_mode not in COST_MODES:
-            raise ValidationError(f"cost_mode must be one of {COST_MODES}")
 
 
 @dataclass
@@ -91,30 +85,24 @@ class MatchResult:
     total_cost: float
 
 
-def cost_matrix(gts: GroundTruthSet, preds, cfg: LossConfig) -> np.ndarray:
-    """(K, K) matching cost of each padded target against each prediction.
+def cost_matrix(gts: GroundTruthSet, proposals, cfg: LossConfig) -> np.ndarray:
+    """(K, K) matching cost of each padded target against each proposal.
 
-    Real rows add L1 and generalized-IoU box terms to sigmoid focal terms;
-    padding rows are zero. The detector confidence enters the focal term
-    as a logit (inverse sigmoid of the clamped probability), so the focal
-    formula is the one the set loss uses.
+    Real rows add L1 and generalized-IoU box terms to a sigmoid focal term
+    on the proposal's detector confidence; padding rows are zero. The
+    confidence enters as a logit (inverse sigmoid of the clamped
+    probability), so the focal formula is the one the set loss uses.
     """
     k, n = gts.total, gts.count
-    if len(preds.boxes) != k:
-        raise ContractError(
-            f"prediction count {len(preds.boxes)} differs from target capacity {k}"
-        )
+    if len(proposals) != k:
+        raise ContractError(f"proposal count {len(proposals)} differs from target capacity {k}")
     cost = np.zeros((k, k))
     for i, gt in enumerate(gts.boxes):
-        for j, box in enumerate(preds.boxes):
-            cost[i, j] = cfg.lambda_l1 * box_l1(gt, box) + cfg.lambda_giou * (1.0 - giou(gt, box))
-    alpha, gamma = cfg.focal_alpha, cfg.focal_gamma
-    if cfg.cost_mode in ("person", "both"):
-        h = np.clip(preds.person_scores, _H_CLIP, 1.0 - _H_CLIP)
-        cost[:n] += ad._focal(np.log(h / (1.0 - h)), 1.0, alpha, gamma)[0]
-    if cfg.cost_mode in ("action", "both"):
-        focal = ad._focal(preds.action_logits[None], gts.labels[:, :, None], alpha, gamma)[0]
-        cost[:n] += focal.sum(axis=1)  # (n, num_classes, K) summed over classes
+        for j, prop in enumerate(proposals):
+            box = prop.box
+            cost[i, j] = L1_WEIGHT * box_l1(gt, box) + GIOU_WEIGHT * (1.0 - giou(gt, box))
+    confidence = ad._logit(np.array([p.person_score for p in proposals]), _H_CLIP)[0]
+    cost[:n] += ad._focal(confidence, 1.0, cfg.focal_alpha, cfg.focal_gamma)[0]
     return cost
 
 
@@ -129,12 +117,12 @@ def hungarian(cost: np.ndarray) -> MatchResult:
     return MatchResult(tuple(int(j) for j in cols), float(cost[rows, cols].sum()))
 
 
-def match(gts: GroundTruthSet, preds, cfg: LossConfig) -> MatchResult:
-    """Assign each padded target a distinct one of the K predictions
-    (a PredictionSet) at minimum cost. Padding rows are all-zero, so the
-    reported total equals the cost over real targets.
+def match(gts: GroundTruthSet, proposals, cfg: LossConfig) -> MatchResult:
+    """Assign each padded target a distinct one of the K proposals at
+    minimum cost. Padding rows are all-zero, so the reported total equals
+    the cost over real targets.
     """
-    return hungarian(cost_matrix(gts, preds, cfg))
+    return hungarian(cost_matrix(gts, proposals, cfg))
 
 
 def set_loss(gts: GroundTruthSet, logits: ad.Tensor, sigma, cfg: LossConfig) -> ad.Tensor:

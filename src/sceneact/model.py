@@ -37,7 +37,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .boxes import BoundingBox
 from .errors import ConfigError, ContractError, DimensionError
 from .rng import RngStream
 
@@ -374,29 +373,6 @@ def classify(actor_tokens: Tensor, params: ModelParams) -> Tensor:
     return ad.transpose(logits)
 
 
-# ---------------------------------------------------------------------------
-# predictions
-
-
-@dataclass
-class PredictionSet:
-    """Per-proposal outputs; boxes and person scores pass through the detector."""
-
-    boxes: list[BoundingBox]
-    person_scores: np.ndarray  # (K,)
-    action_logits: np.ndarray  # (num_classes, K)
-
-    def __post_init__(self):
-        self.person_scores = np.asarray(self.person_scores, dtype=np.float64)
-        self.action_logits = np.asarray(self.action_logits, dtype=np.float64)
-        if self.action_logits.shape[1] != len(self.boxes):
-            raise ContractError("logit columns must match the number of boxes")
-
-    @property
-    def action_scores(self) -> np.ndarray:
-        return ad._sigmoid(self.action_logits)
-
-
 def forward_actions(
     params: ModelParams,
     cfg: ModelConfig,
@@ -420,11 +396,3 @@ def forward_actions(
             raise ContractError("non-unified variants require scene tokens")
         actors = encode_variant(a, v, params, cfg, rng, training, attn_sink)
     return classify(actors, params)
-
-
-def predictions_from_logits(proposals, logits: np.ndarray) -> PredictionSet:
-    return PredictionSet(
-        [p.box for p in proposals],
-        np.array([p.person_score for p in proposals]),
-        np.asarray(logits, dtype=np.float64),
-    )

@@ -93,6 +93,12 @@ class ScenarioConfig:
             raise ConfigError(
                 f"num_classes must split evenly over {len(CATEGORIES)} categories"
             )
+        n = self.num_actors
+        if not (isinstance(n, tuple) and len(n) == 2 and all(isinstance(x, int) for x in n)
+                and 0 <= n[0] <= n[1]):
+            raise ConfigError(f"num_actors must be two integers 0 <= low <= high, got {n}")
+        if self.box_jitter < 0:
+            raise ConfigError(f"box_jitter must be nonnegative, got {self.box_jitter}")
 
 
 @dataclass(frozen=True)

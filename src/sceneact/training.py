@@ -81,10 +81,6 @@ class OptimizerConfig:
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
 
-    @classmethod
-    def paper_schedule(cls) -> "OptimizerConfig":
-        return cls(lr=1e-4, epochs=8, batch_size=16, decay_epoch=6)
-
 
 class AdamW:
     """Decoupled weight decay; decay skips 1-D parameters (biases, norms)."""
@@ -167,8 +163,8 @@ def predict_clip(
     grid_t: int,
     use_scene: bool = True,
     proposals=None,
-) -> mdl.PredictionSet:
-    """Short-term inference on the keyframe window."""
+) -> np.ndarray:
+    """Short-term inference on the keyframe window: (num_classes, K) action scores."""
     proposals = clip.proposals if proposals is None else proposals
     with ad.no_grad():
         grid = (
@@ -177,7 +173,7 @@ def predict_clip(
             else None
         )
         logits = mdl.forward_actions(params, cfg, proposals, grid, RngStream(0), training=False)
-    return mdl.predictions_from_logits(proposals, logits.data)
+    return ad._sigmoid(logits.data)
 
 
 def evaluate_short_term(
@@ -196,9 +192,9 @@ def evaluate_short_term(
             clip.detections, scenario.proposal_count, mode=proposal_mode,
             tau=proposal_tau, actor_dim=scenario.actor_dim,
         )
-        preds = predict_clip(params, cfg, clip, windowing, scenario.grid_t,
-                             use_scene=use_scene, proposals=proposals)
-        scored.append((clip, proposals, preds.action_scores))
+        scores = predict_clip(params, cfg, clip, windowing, scenario.grid_t,
+                              use_scene=use_scene, proposals=proposals)
+        scored.append((clip, proposals, scores))
     return _evaluate_scored(scored, scenario)
 
 
@@ -294,9 +290,8 @@ def train_short_term(
                     rng.child_named("dropout").child(epoch, state.step, j),
                     training=True,
                 )
-                preds = mdl.predictions_from_logits(clip.proposals, logits.data)
                 gts = ground_truth_set(clip, len(clip.proposals))
-                sigma = match(gts, preds, loss_cfg).sigma
+                sigma = match(gts, clip.proposals, loss_cfg).sigma
                 loss = set_loss(gts, logits, sigma, loss_cfg)
                 total = loss if total is None else ad.add(total, loss)
             total = ad.scale(total, 1.0 / len(batch))

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from sceneact.config import default_config
+from sceneact.config import config_from_dict
 from sceneact.rng import RngStream
 from sceneact.synthdata import generate_dataset
 from sceneact.training import train_short_term
@@ -12,7 +12,7 @@ from sceneact.training import train_short_term
 def default_run():
     """One full training run on the default benchmark; shared by the
     acceptance criteria that need a trained model."""
-    cfg = default_config()
+    cfg = config_from_dict({})
     dataset = generate_dataset(cfg.scenario)
     state = train_short_term(
         dataset, cfg.model, cfg.loss, cfg.optimizer, RngStream(cfg.seed),

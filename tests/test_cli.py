@@ -46,20 +46,20 @@ def workspace(tmp_path_factory):
     return root, cfg_path, data_dir, out_dir
 
 
-# former config fields, now constants of synthdata and training
+# former config fields, now constants of synthdata, training and matching
 REMOVED_KEYS = [("scenario", k) for k in (
     "confidence_calibration", "momentary_span", "sustained_span", "object_probability",
     "pair_probability", "pair_distance_max", "min_separation", "box_size_range",
     "appearance_prototypes", "appearance_noise", "timeline_extent",
 )] + [("optimizer", k) for k in (
     "beta1", "beta2", "eps", "clip_norm", "augment_range", "aggregation_lr",
-)]
+)] + [("loss", k) for k in ("cost_mode", "lambda_l1", "lambda_giou")]
 
 
 class TestConfigLoading:
     @pytest.mark.parametrize("section,key", [("scenario", "typo_key")] + REMOVED_KEYS)
     def test_unknown_key_rejected(self, section, key):
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ConfigError, match=f"unknown keys.*{key}"):
             config_from_dict({section: {key: 3}})
 
     def test_unknown_keys_of_every_section_reported_together(self):
@@ -98,6 +98,18 @@ class TestConfigLoading:
     def test_model_bounds_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
             config_from_dict({"model": {key: value}})
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("scenario", "box_jitter", -1.0), ("scenario", "num_actors", [3, 1]),
+        ("scenario", "num_actors", [1]), ("scenario", "scene_noise", float("nan")),
+        ("scenario", "signature_magnitude", float("inf")), ("scenario", "train_clips", 0),
+        ("scenario", "train_clips", -3), ("scenario", "eval_clips", 0),
+        ("optimizer", "lr", float("nan")), ("windowing", "stride", float("nan")),
+        ("windowing", "t_before", -0.5), ("windowing", "t_after", -0.5),
+    ], ids=str)
+    def test_run_bounds_rejected(self, section, key, value):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict({section: {key: value}})
 
 
 class TestGenerate:
@@ -320,6 +332,21 @@ class TestTrainEvalInspect:
         ap1 = (eval_dir / "support_4.1s_per_class.csv").read_text().splitlines()[1:]
         ap2 = (eval_dir / "sampling_topk_per_class.csv").read_text().splitlines()[1:]
         assert [r.split(",")[3] for r in ap1] == [r.split(",")[3] for r in ap2]
+
+    @pytest.mark.parametrize("sweep", [
+        ["--threshold", "abc"], ["--threshold", "0.5", "--threshold", "abc"],
+        ["--threshold", "nan"], ["--threshold", "1.5"], ["--threshold", "-0.1"],
+        ["--support", "abc"], ["--support", "inf"], ["--support", "-3"], ["--support", "2"],
+        ["--strategy", "topk", "--topk-k", "0"], ["--strategy", "topk", "--topk-k", "-5"],
+    ], ids=" ".join)
+    def test_eval_bad_sweep_value_writes_nothing(self, workspace, tmp_path, capsys, sweep):
+        _root, _cfg, data_dir, out_dir = workspace
+        out = tmp_path / "eval"
+        rc = main(["eval", "--checkpoint", str(out_dir / "best.ckpt"), "--dataset",
+                   str(data_dir), "--out", str(out)] + sweep)
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_eval_variant_mismatch_rejected(self, workspace, tmp_path):
         _root, _cfg, data_dir, out_dir = workspace

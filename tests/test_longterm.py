@@ -157,8 +157,8 @@ class TestRunWindowed:
         ws = run_windowed(params, cfg, clip, single, scenario.grid_t)
         from sceneact.training import predict_clip
 
-        preds = predict_clip(params, cfg, clip, single, scenario.grid_t)
-        np.testing.assert_allclose(ws.scores[0], preds.action_scores, atol=1e-12)
+        scores = predict_clip(params, cfg, clip, single, scenario.grid_t)
+        np.testing.assert_allclose(ws.scores[0], scores, atol=1e-12)
 
     def test_constant_scene_gives_constant_scores(self):
         scenario = small_scenario(scene_noise=0.0, signature_magnitude=0.0)
@@ -300,10 +300,8 @@ def per_clip_loss(params, cfg, clips, wcfg, grid_t, loss_cfg, w):
     total, sigmas = None, []
     for clip in clips:
         ws = run_windowed(params, cfg, clip, wcfg, grid_t)
-        keyframe = ws.scores[ws.offsets.index(0)]
-        preds = mdl.predictions_from_logits(clip.proposals, ad._logit(keyframe, 1e-9)[0])
         gts = ground_truth_set(clip, len(clip.proposals))
-        sigma = match(gts, preds, loss_cfg).sigma
+        sigma = match(gts, clip.proposals, loss_cfg).sigma
         sigmas.append(sigma)
         fused = None
         for n in range(ws.scores.shape[0]):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from sceneact import autodiff as ad
 from sceneact.boxes import BoundingBox, box_l1, giou
 from sceneact.errors import ContractError
 from sceneact.matching import (
+    GIOU_WEIGHT,
+    L1_WEIGHT,
     GroundTruthSet,
     LossConfig,
     cost_matrix,
@@ -15,7 +18,6 @@ from sceneact.matching import (
     match,
     set_loss,
 )
-from sceneact.model import PredictionSet
 from sceneact.rng import RngStream
 
 
@@ -29,8 +31,9 @@ def brute_force_assignment(cost):
     return best_cost, best_perm
 
 
-def make_preds(boxes, person_scores, logits):
-    return PredictionSet(boxes, np.asarray(person_scores), np.asarray(logits))
+def make_proposals(boxes, person_scores):
+    """The detector outputs matching reads: a box and a confidence per proposal."""
+    return [SimpleNamespace(box=b, person_score=float(s)) for b, s in zip(boxes, person_scores)]
 
 
 def scalar_focal(logit: float, target: int, cfg: LossConfig) -> float:
@@ -54,8 +57,7 @@ def pair_cost(gt_box, gt_labels, pred_box, person_score, cfg) -> float:
     """cost_matrix entry of one target (None: padding) against one prediction."""
     labels = np.zeros((0, 1)) if gt_box is None else np.atleast_2d(gt_labels)
     gts = GroundTruthSet.build([] if gt_box is None else [gt_box], labels, 1)
-    preds = make_preds([pred_box], [person_score], np.zeros((labels.shape[1], 1)))
-    return cost_matrix(gts, preds, cfg)[0, 0]
+    return cost_matrix(gts, make_proposals([pred_box], [person_score]), cfg)[0, 0]
 
 
 class TestFocalLoss:
@@ -98,7 +100,7 @@ class TestPairCost:
 
     def test_composed_hand_value(self):
         # focal(0,1) + 5 * l1 + 2 * (1 - giou) for the half-overlap case
-        cfg = LossConfig(focal_alpha=0.25, focal_gamma=2.0, lambda_l1=5.0, lambda_giou=2.0)
+        cfg = LossConfig(focal_alpha=0.25, focal_gamma=2.0)
         gt = BoundingBox(0, 0, 1, 1)
         pred = BoundingBox(0, 0, 0.5, 1)
         h_prob = 0.5  # logit 0
@@ -161,82 +163,61 @@ class TestHungarian:
 
 
 def random_instance(gen, k=4, ncls=3, gt_count=2):
+    """Padded truth, K proposals and (ncls, K) action logits."""
     boxes, logits = [], gen.normal(size=(ncls, k))
     for _ in range(k):
         c = gen.uniform(0, 0.6, size=2)
         boxes.append(BoundingBox(c[0], c[1], c[0] + 0.3, c[1] + 0.3))
-    preds = make_preds(boxes, gen.uniform(0.1, 0.95, size=k), logits)
+    props = make_proposals(boxes, gen.uniform(0.1, 0.95, size=k))
     gt_boxes = []
     for _ in range(gt_count):
         c = gen.uniform(0, 0.6, size=2)
         gt_boxes.append(BoundingBox(c[0], c[1], c[0] + 0.3, c[1] + 0.3))
     labels = (gen.random((gt_count, ncls)) < 0.4).astype(float)
-    return GroundTruthSet.build(gt_boxes, labels, k), preds
+    return GroundTruthSet.build(gt_boxes, labels, k), props, logits
 
 
 class TestMatch:
     def test_no_targets_gives_zero_cost(self):
         gen = RngStream(37).generator()
-        gts, preds = random_instance(gen, gt_count=0)
+        _, props, _ = random_instance(gen, gt_count=0)
         gts = GroundTruthSet.build([], np.zeros((0, 3)), 4)
-        res = match(gts, preds, LossConfig())
+        res = match(gts, props, LossConfig())
         assert res.total_cost == 0.0
 
     def test_full_bijection_matches_brute_force(self):
         cfg = LossConfig()
         gen = RngStream(41).generator()
         for _ in range(20):
-            gts, preds = random_instance(gen, k=4, gt_count=4)
-            res = match(gts, preds, cfg)
-            best_cost, _ = brute_force_assignment(cost_matrix(gts, preds, cfg))
+            gts, props, _ = random_instance(gen, k=4, gt_count=4)
+            res = match(gts, props, cfg)
+            best_cost, _ = brute_force_assignment(cost_matrix(gts, props, cfg))
             assert res.total_cost == pytest.approx(best_cost, abs=1e-9)
 
     def test_single_target_takes_argmin(self):
         cfg = LossConfig()
         gen = RngStream(43).generator()
-        gts, preds = random_instance(gen, k=4, gt_count=1)
-        res = match(gts, preds, cfg)
-        costs = cost_matrix(gts, preds, cfg)[0]
+        gts, props, _ = random_instance(gen, k=4, gt_count=1)
+        res = match(gts, props, cfg)
+        costs = cost_matrix(gts, props, cfg)[0]
         assert res.sigma[0] == int(np.argmin(costs))
 
-    @pytest.mark.parametrize("mode", ["person", "action", "both"])
-    def test_cost_matrix_matches_scalar_oracle(self, mode):
-        cfg = LossConfig(cost_mode=mode)
+    def test_cost_matrix_matches_scalar_oracle(self):
+        cfg = LossConfig()
         gen = RngStream(67).generator()
         for _ in range(20):
-            gts, preds = random_instance(gen, k=5, gt_count=3)
-            got = cost_matrix(gts, preds, cfg)
+            gts, props, _ = random_instance(gen, k=5, gt_count=3)
+            got = cost_matrix(gts, props, cfg)
             for i in range(5):
                 for j in range(5):
                     if i >= gts.count:
                         assert got[i, j] == 0.0
                         continue
-                    a, b = gts.boxes[i], preds.boxes[j]
-                    expected = 5.0 * box_l1(a, b) + 2.0 * (1.0 - giou(a, b))
-                    if mode != "action":
-                        h = float(preds.person_scores[j])
-                        expected += scalar_focal(math.log(h / (1.0 - h)), 1, cfg)
-                    if mode != "person":
-                        for k, label in enumerate(gts.labels[i]):
-                            expected += scalar_focal(preds.action_logits[k, j], int(label), cfg)
+                    a, b = gts.boxes[i], props[j].box
+                    h = props[j].person_score
+                    expected = (L1_WEIGHT * box_l1(a, b) + GIOU_WEIGHT * (1.0 - giou(a, b))
+                                + scalar_focal(math.log(h / (1.0 - h)), 1, cfg))
                     assert got[i, j] == pytest.approx(expected, rel=1e-12)
-
-    def test_matching_ignores_action_logits_in_person_mode(self):
-        cfg = LossConfig(cost_mode="person")
-        gen = RngStream(47).generator()
-        for _ in range(100):
-            gts, preds = random_instance(gen)
-            sigma1 = match(gts, preds, cfg).sigma
-            perturbed = make_preds(
-                preds.boxes, preds.person_scores, gen.normal(scale=50, size=preds.action_logits.shape)
-            )
-            assert match(gts, perturbed, cfg).sigma == sigma1
-
-    def test_action_mode_uses_logits(self):
-        gen = RngStream(53).generator()
-        gts, preds = random_instance(gen, k=3, gt_count=2)
-        res = match(gts, preds, LossConfig(cost_mode="action"))
-        assert sorted(res.sigma) == [0, 1, 2]
 
     def test_ground_truth_overflow_clips_to_largest(self, caplog):
         boxes = [
@@ -259,10 +240,9 @@ class TestSetLoss:
 
     def test_invariant_under_joint_permutation(self):
         gen = RngStream(59).generator()
-        gts, preds = random_instance(gen, k=4, gt_count=2)
+        gts, props, logits = random_instance(gen, k=4, gt_count=2)
         cfg = LossConfig()
-        logits = preds.action_logits
-        sigma = match(gts, preds, cfg).sigma
+        sigma = match(gts, props, cfg).sigma
         base = set_loss(gts, ad.Tensor(logits), sigma, cfg).item()
         perm = [2, 0, 3, 1]  # prediction j moves to column perm[j]
         permuted = np.empty_like(logits)
@@ -289,10 +269,10 @@ class TestSetLoss:
 
     def test_gradient_reaches_only_logits(self):
         gen = RngStream(61).generator()
-        gts, preds = random_instance(gen, k=3, gt_count=2)
+        gts, props, logits = random_instance(gen, k=3, gt_count=2)
         cfg = LossConfig()
-        p = ad.Parameter("logits", preds.action_logits)
-        sigma = match(gts, preds, cfg).sigma
+        p = ad.Parameter("logits", logits)
+        sigma = match(gts, props, cfg).sigma
         ad.backward(set_loss(gts, p.value, sigma, cfg))
         assert p.grad.shape == p.value.data.shape
         assert np.any(p.grad != 0)

@@ -456,9 +456,7 @@ class TestClassify:
             p.assign(np.zeros(p.shape))
         logits = mdl.classify(ad.Tensor(np.ones((8, 4))), params)
         assert np.all(logits.data == 0.0)
-        props = make_proposals(RngStream(33).generator(), k=4)
-        preds = mdl.predictions_from_logits(props, logits.data)
-        np.testing.assert_allclose(preds.action_scores, 0.5)
+        np.testing.assert_allclose(ad._sigmoid(logits.data), 0.5)
 
     def test_pass_through_construction(self):
         cfg = tiny_cfg(embed_dim=4, heads=2, num_classes=4)
@@ -523,8 +521,7 @@ class TestFullForwardGradient:
 
         def f():
             logits = mdl.forward_actions(params, cfg, props, grid, RngStream(0))
-            preds = mdl.predictions_from_logits(props, logits.data)
-            sigma = match(gts, preds, lcfg).sigma
+            sigma = match(gts, props, lcfg).sigma
             return set_loss(gts, logits, sigma, lcfg)
 
         report = ad.grad_check(f, params.parameters(), step=1e-5, tol=1e-4)
@@ -541,7 +538,7 @@ class TestFullForwardGradient:
         gts = GroundTruthSet.build([props[1].box], np.array([[0, 1.0, 0]]), 3)
         logits = mdl.forward_actions(params, cfg, props, make_grid(gen), RngStream(46),
                                      training=True)
-        sigma = match(gts, mdl.predictions_from_logits(props, logits.data), LossConfig()).sigma
+        sigma = match(gts, props, LossConfig()).sigma
         loss = set_loss(gts, logits, sigma, LossConfig())
         ad.backward(loss)
         seen, stack, holders = {id(loss)}, [loss], []

@@ -50,10 +50,6 @@ class TestOptimizerConfig:
         assert cfg.weight_decay == 1e-4
         assert cfg.decay_factor == 0.1
 
-    def test_paper_schedule_echo(self):
-        cfg = OptimizerConfig.paper_schedule()
-        assert (cfg.lr, cfg.epochs, cfg.batch_size, cfg.decay_epoch) == (1e-4, 8, 16, 6)
-
     def test_validation(self):
         with pytest.raises(Exception):
             OptimizerConfig(epochs=0)
@@ -189,8 +185,8 @@ class TestSceneBlind:
         blind = [predict_clip(params, MODEL, c, WINDOW, SCENARIO.grid_t, use_scene=False)
                  for c in (clip, other)]
         seeing = [predict_clip(params, MODEL, c, WINDOW, SCENARIO.grid_t) for c in (clip, other)]
-        np.testing.assert_array_equal(blind[0].action_scores, blind[1].action_scores)
-        assert not np.array_equal(seeing[0].action_scores, seeing[1].action_scores)
+        np.testing.assert_array_equal(blind[0], blind[1])
+        assert not np.array_equal(seeing[0], seeing[1])
 
     def test_one_epoch_has_finite_losses(self, dataset):
         log_lines = []
