@@ -3,11 +3,12 @@
 A leaf is either a parameter or a constant. An operation is recorded,
 with its parents and a closure mapping the upstream gradient to parent
 gradients, only when a parent is a parameter leaf or a recorded
-operation; closures skip the work for constant parents. ``backward``
-walks the recorded graph once in reverse topological order and drops
-each intermediate gradient once its node is processed. Only parameter
-leaves keep a gradient, and it accumulates across backward calls until
-``zero_grad``.
+operation; closures skip the work for constant parents.
+``leaf_gradients`` walks the recorded graph once in reverse topological
+order, drops each intermediate gradient once its node is processed, and
+returns each parameter leaf's gradient terms, so threads may walk graphs
+that share parameters. ``backward`` adds the terms to ``.grad``, where
+they accumulate across backward calls until ``zero_grad``.
 
 Tensors are immutable values: the numpy buffer is marked read-only.
 """
@@ -15,6 +16,7 @@ Tensors are immutable values: the numpy buffer is marked read-only.
 from __future__ import annotations
 
 import contextlib
+import functools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -36,6 +38,8 @@ def no_grad():
     The flag is process-wide, not per thread: enter the context once in the
     calling thread around work it hands to worker threads, never inside a
     worker, where its exit would re-enable recording under the others.
+    Inference and training jobs therefore never overlap: each caller
+    waits for all of its jobs before it returns.
     """
     global _recording
     prev, _recording = _recording, False
@@ -255,6 +259,24 @@ def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
     return _wrap(out, (x,), bwd)
 
 
+def window_sum(scores: np.ndarray, weights: Tensor) -> Tensor:
+    """out[c, k, j] = sum_n scores[c, n, j, k] * weights[n, j], over constant ``scores``.
+
+    Windows n are added one at a time into one buffer, so there is no
+    (clips, K, windows, classes) temporary, and the value and gradient
+    equal ``reduce_sum`` over the stacked product bit for bit.
+    """
+    if scores.ndim != 4 or weights.data.shape != scores.shape[1:3]:
+        raise DimensionError(f"window_sum: weights {weights.shape} vs scores {scores.shape}")
+    rows = [scores[:, n].transpose(0, 2, 1) for n in range(scores.shape[1])]  # (clips, K, cls)
+    out = np.multiply(rows[0], weights.data[0], out=np.empty(rows[0].shape))
+    tmp = np.empty_like(out)
+    for r, w in zip(rows[1:], weights.data[1:]):
+        out += np.multiply(r, w, out=tmp)
+    return _wrap(out, (weights,),
+                 lambda g: (np.stack([np.multiply(g, r, out=tmp).sum(axis=(0, 1)) for r in rows]),))
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     d = x.data.shape[-1] if x.data.ndim else 0
@@ -413,20 +435,40 @@ def _topo_order(root: Tensor) -> list:
     return order
 
 
-def backward(loss: Tensor):
-    """Accumulate d(loss)/d(parameter) into every reachable parameter leaf's grad."""
+def leaf_gradients(loss: Tensor, seed=None) -> dict:
+    """Each parameter leaf's gradient terms, in the order ``backward`` adds them.
+
+    ``seed`` is the gradient of the loss itself, ones by default. No ``.grad`` is written.
+    """
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
-    grads = {id(loss): np.ones(loss.data.shape)}
+    grads = {id(loss): [np.ones(loss.data.shape) if seed is None else seed]}  # terms per node
+    parts = {}
     for node in reversed(_topo_order(loss)):
-        g = grads.pop(id(node))
-        if node._backward is None:  # parameter leaf; own the buffer, views may alias
-            node.grad = np.array(g) if node.grad is None else node.grad + g
+        terms = grads.pop(id(node))
+        if node._backward is None:  # parameter leaf
+            parts[node] = terms
             continue
-        for parent, pg in zip(node._parents, node._backward(g)):
+        for parent, pg in zip(node._parents, node._backward(functools.reduce(np.add, terms))):
             if parent.requires_grad:
-                acc = grads.get(id(parent))
-                grads[id(parent)] = pg if acc is None else acc + pg
+                grads.setdefault(id(parent), []).append(pg)
+    return parts
+
+
+def accumulate(parts: Sequence[dict]):
+    """Add ``leaf_gradients`` results to ``.grad``, each leaf's terms summed in the order given."""
+    terms: dict = {}
+    for part in parts:
+        for leaf, leaf_terms in part.items():
+            terms.setdefault(leaf, []).extend(leaf_terms)
+    for leaf, leaf_terms in terms.items():
+        g = functools.reduce(np.add, leaf_terms)
+        leaf.grad = np.array(g) if leaf.grad is None else leaf.grad + g  # own it: views may alias
+
+
+def backward(loss: Tensor):
+    """Accumulate d(loss)/d(parameter) into every reachable parameter leaf's grad."""
+    accumulate([leaf_gradients(loss)])
 
 
 # ---------------------------------------------------------------------------

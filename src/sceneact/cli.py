@@ -186,6 +186,9 @@ def cmd_eval(args) -> int:
             raise ConfigError(f"--threshold must lie in [0, 1], got {tau:g}")
     support_seconds = [_finite("--support", text) for text in args.support or []]
     dataset, cfg = _load_dataset_dir(args.dataset)
+    if "topk" in (args.strategy or []) and args.topk_k > cfg.windowing.num_windows:
+        raise ConfigError(f"--topk-k {args.topk_k} exceeds the {cfg.windowing.num_windows} "
+                          f"windows that --strategy topk fuses")
     state, model_cfg, scenario = _load_checkpoint(args.checkpoint, cfg, args.dataset)
     if args.variant and args.variant != model_cfg.variant:
         raise ConfigError(

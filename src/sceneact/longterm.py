@@ -12,11 +12,13 @@ per-window scores become constants, and only the aggregation weights
 receive gradient. The scores of every training clip are computed and
 matched to the keyframe truth once, then stacked, so each epoch's
 objective is one tape expression over constant arrays, whatever the
-number of clips or windows. The fused score is a probability, so it
+number of clips or windows, and with no (clips, K, windows, classes)
+temporary. The fused score is a probability, so it
 enters the focal classification loss through its clamped logit; the
 weights are kept non-negative, so fusion never inverts the ranking within
 a class, and the fit starts from the one-hot keyframe weights, i.e. the
-short-term model.
+short-term model. ``map_on_pool`` runs the forwards of every window, of
+the short-term eval and of each phase-1 step on one thread per usable CPU.
 """
 
 from __future__ import annotations
@@ -133,12 +135,28 @@ class WindowedScores:
 
 @functools.cache
 def _window_pool() -> ThreadPoolExecutor:
-    """The process's window workers, one per usable CPU, made on first use."""
+    """The process's worker threads, one per usable CPU, made on first use."""
     try:
         workers = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         workers = os.cpu_count() or 1
-    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="sceneact-window")
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="sceneact-worker")
+
+
+def map_on_pool(fn, jobs) -> list:
+    """``[fn(*job) for job in jobs]`` on ``_window_pool()``; ``fn`` must not submit to it.
+
+    Every call ends before the first error in job order is re-raised.
+    """
+    futures = [_window_pool().submit(fn, *job) for job in jobs]
+    wait(futures)
+    return [f.result() for f in futures]
+
+
+def action_scores(params: mdl.ModelParams, cfg: mdl.ModelConfig, proposals, grid) -> np.ndarray:
+    """Inference forward of one proposal set on one grid: (num_classes, K) post-sigmoid scores."""
+    logits = mdl.forward_actions(params, cfg, proposals, grid, RngStream(0), training=False)
+    return ad._sigmoid(logits.data)
 
 
 def run_windowed(
@@ -151,25 +169,15 @@ def run_windowed(
     """Inference over every window; boxes and proposals stay the keyframe's.
 
     Grids are built here, in window order (so are their clamp log lines);
-    the forwards run on ``_window_pool``. Each window runs the same ops as
-    a serial loop, so the scores are bit-identical to one. The first
-    window that raises has its error re-raised, after every window ended.
+    the forwards run through ``map_on_pool``. Each window runs the same ops
+    as a serial loop, so the scores are bit-identical to one.
     """
-    grids = [window_grid(clip, interval, grid_t)
-             for _n, interval in windows(windowing, clip.keyframe_time)]
-
-    def scores(grid):
-        logits = mdl.forward_actions(params, cfg, clip.proposals, grid, RngStream(0),
-                                     training=False)
-        return ad._sigmoid(logits.data)
-
-    pool = _window_pool()
+    jobs = [(params, cfg, clip.proposals, window_grid(clip, interval, grid_t))
+            for _n, interval in windows(windowing, clip.keyframe_time)]
     # no_grad is process-wide: entered once here, it covers every worker
     with ad.no_grad():
-        futures = [pool.submit(scores, grid) for grid in grids]
-        wait(futures)
-    return WindowedScores(clip, tuple(windowing.offsets),
-                          np.stack([f.result() for f in futures]))
+        scores = map_on_pool(action_scores, jobs)
+    return WindowedScores(clip, tuple(windowing.offsets), np.stack(scores))
 
 
 def _strategy_weights(scores: np.ndarray, strategy: str, weights: AggregationWeights | None,
@@ -192,7 +200,8 @@ def _strategy_weights(scores: np.ndarray, strategy: str, weights: AggregationWei
         strategy = "topk"
     if strategy != "topk":
         raise ConfigError(f"unknown aggregation strategy {strategy!r}")
-    k = min(max(int(k), 1), n_win)
+    if not 1 <= k <= n_win:
+        raise ConfigError(f"topk k must lie in [1, {n_win}], the window count, got {k}")
     # indicator/k on the k largest values per (class, proposal) column
     order = np.argsort(-scores, axis=0, kind="stable")
     w = np.zeros_like(scores)
@@ -239,13 +248,10 @@ def aggregation_loss(
     constants; gradient flows only into the weight parameter. The graph
     has the same few nodes for any number of clips and windows.
     """
-    n_clips, n_win, n_cls, k = scores.shape
-    rows = ad.Tensor(scores.transpose(0, 3, 1, 2).reshape(n_clips, k, n_win * n_cls))
-    weighted = ad.mul_rowvec(rows, ad.reshape(weight_param.value, (n_win * n_cls,)))
-    fused = ad.reduce_sum(ad.reshape(weighted, (n_clips, k, n_win, n_cls)), axis=2)
+    fused = ad.window_sum(scores, weight_param.value)
     focal = ad.focal_from_logits(ad.logit(fused, _PROB_EPS), targets,
                                  loss_cfg.focal_alpha, loss_cfg.focal_gamma)
-    return ad.scale(ad.reduce_sum(focal), 1.0 / n_clips)
+    return ad.scale(ad.reduce_sum(focal), 1.0 / scores.shape[0])
 
 
 def precompute_windowed(

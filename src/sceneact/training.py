@@ -2,16 +2,20 @@
 
 Phase 1 trains the relation model on short keyframe windows with
 temporal augmentation: embed, relate, classify, match, set loss,
-backward, clipped AdamW step. Phase 2 freezes the model and fits only
-the aggregation weights on long clips. All randomness (batch order,
-augmentation offsets, dropout masks) derives from the run seed through
-named sub-streams indexed by epoch and step, so a run is a pure function
-of its configuration and resuming from a checkpoint reproduces the
+backward, clipped AdamW step. A step's clips run on the worker pool, and
+their losses and gradient terms are summed in clip order, the order one
+backward of the batch loss adds them, so a step is bit-identical on any
+number of CPUs. Phase 2 freezes the model and fits only the aggregation
+weights on long clips. All randomness (batch order, augmentation
+offsets, dropout masks) derives from the run seed through named
+sub-streams indexed by epoch and step, so a run is a pure function of
+its configuration and resuming from a checkpoint reproduces the
 uninterrupted trajectory bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -27,7 +31,9 @@ from .longterm import (
     AggregationWeights,
     WindowedScores,
     WindowingConfig,
+    action_scores,
     aggregate,
+    map_on_pool,
     run_windowed,
     train_aggregation,
 )
@@ -166,14 +172,9 @@ def predict_clip(
 ) -> np.ndarray:
     """Short-term inference on the keyframe window: (num_classes, K) action scores."""
     proposals = clip.proposals if proposals is None else proposals
+    grid = keyframe_grid(clip, windowing.t_before, windowing.t_after, grid_t) if use_scene else None
     with ad.no_grad():
-        grid = (
-            keyframe_grid(clip, windowing.t_before, windowing.t_after, grid_t)
-            if use_scene
-            else None
-        )
-        logits = mdl.forward_actions(params, cfg, proposals, grid, RngStream(0), training=False)
-    return ad._sigmoid(logits.data)
+        return action_scores(params, cfg, proposals, grid)
 
 
 def evaluate_short_term(
@@ -186,16 +187,27 @@ def evaluate_short_term(
     proposal_mode: str = "topk",
     proposal_tau: float = 0.0,
 ) -> EvalReport:
-    scored = []
+    """Keyframe AP; proposals and grids are made here in clip order, forwards on the pool."""
+    jobs = []
     for clip in clips:
         proposals = sample_proposals(
             clip.detections, scenario.proposal_count, mode=proposal_mode,
             tau=proposal_tau, actor_dim=scenario.actor_dim,
         )
-        scores = predict_clip(params, cfg, clip, windowing, scenario.grid_t,
-                              use_scene=use_scene, proposals=proposals)
-        scored.append((clip, proposals, scores))
-    return _evaluate_scored(scored, scenario)
+        grid = (keyframe_grid(clip, windowing.t_before, windowing.t_after, scenario.grid_t)
+                if use_scene else None)
+        jobs.append((params, cfg, proposals, grid))
+    with ad.no_grad():  # entered once here, it covers every worker
+        scores = map_on_pool(action_scores, jobs)
+    return _evaluate_scored([(c, job[2], s) for c, job, s in zip(clips, jobs, scores)], scenario)
+
+
+def _clip_loss_and_gradients(params: ModelParams, cfg: ModelConfig, loss_cfg: LossConfig,
+                             clip: ClipSample, grid, gts, dropout_rng: RngStream, seed):
+    """One training clip's set loss value and its ``ad.leaf_gradients``, seeded with ``seed``."""
+    logits = mdl.forward_actions(params, cfg, clip.proposals, grid, dropout_rng, training=True)
+    loss = set_loss(gts, logits, match(gts, clip.proposals, loss_cfg).sigma, loss_cfg)
+    return loss.data, ad.leaf_gradients(loss, seed)
 
 
 def ground_truth_boxes(clip: ClipSample) -> list[GroundTruthBox]:
@@ -272,9 +284,8 @@ def train_short_term(
         for b0 in range(0, len(order), opt_cfg.batch_size):
             batch_ids = order[b0 : b0 + opt_cfg.batch_size]
             batch = [clips[int(i)] for i in batch_ids]
-            for p in trainable:
-                p.zero_grad()
-            total = None
+            clip_weight = np.ones(()) * (1.0 / len(batch))  # d(batch-mean loss)/d(clip loss)
+            jobs = []
             for j, clip in enumerate(batch):
                 aug = temporal_augment(
                     clip, AUGMENT_RANGE,
@@ -285,17 +296,13 @@ def train_short_term(
                     if use_scene
                     else None
                 )
-                logits = mdl.forward_actions(
-                    params, model_cfg, clip.proposals, grid,
-                    rng.child_named("dropout").child(epoch, state.step, j),
-                    training=True,
-                )
-                gts = ground_truth_set(clip, len(clip.proposals))
-                sigma = match(gts, clip.proposals, loss_cfg).sigma
-                loss = set_loss(gts, logits, sigma, loss_cfg)
-                total = loss if total is None else ad.add(total, loss)
-            total = ad.scale(total, 1.0 / len(batch))
-            loss_value = total.item()
+                jobs.append((params, model_cfg, loss_cfg, clip, grid,
+                             ground_truth_set(clip, len(clip.proposals)),
+                             rng.child_named("dropout").child(epoch, state.step, j), clip_weight))
+            results = map_on_pool(_clip_loss_and_gradients, jobs)
+            # clip-order sums, so neither the loss nor a gradient depends on thread timing
+            total = functools.reduce(np.add, [r[0] for r in results])
+            loss_value = (total * (1.0 / len(batch))).item()
             if not np.isfinite(loss_value):
                 raise NanLossError(
                     f"non-finite loss at epoch {epoch} step {state.step}",
@@ -306,7 +313,9 @@ def train_short_term(
                         "seed": rng.seed,
                     },
                 )
-            ad.backward(total)
+            for p in trainable:
+                p.zero_grad()
+            ad.accumulate([r[1] for r in results])
             clip_gradients(trainable, CLIP_NORM)
             opt.step(lr_scale)
             epoch_losses.append(loss_value)

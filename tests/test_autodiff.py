@@ -305,3 +305,72 @@ class TestRngStream:
     def test_named_children_stable(self):
         assert RngStream(3).child_named("x") == RngStream(3).child_named("x")
         assert RngStream(3).child_named("x") != RngStream(3).child_named("y")
+
+
+class TestWindowSum:
+    """``window_sum`` against the stacked reshape / mul_rowvec / reduce_sum expression."""
+
+    @staticmethod
+    def stacked(scores, w):
+        n_clips, n_win, n_cls, k = scores.shape
+        rows = ad.Tensor(scores.transpose(0, 3, 1, 2).reshape(n_clips, k, n_win * n_cls))
+        weighted = ad.mul_rowvec(rows, ad.reshape(w, (n_win * n_cls,)))
+        return ad.reduce_sum(ad.reshape(weighted, (n_clips, k, n_win, n_cls)), axis=2)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 2, 3), (5, 4, 3, 6), (40, 13, 12, 10)])
+    def test_value_and_gradient_equal_stacked_expression_bitwise(self, shape):
+        g = RngStream(14).generator()
+        scores = g.uniform(0.0, 1.0, size=shape)
+        upstream = g.uniform(-1.0, 1.0, size=(shape[0], shape[3], shape[2]))
+        for start in (g.uniform(0.0, 1.0, size=shape[1:3]), np.ones(shape[1:3])):
+            grads = []
+            for build in (self.stacked, ad.window_sum):
+                p = ad.Parameter("w", start)
+                out = build(scores, p.value)
+                grads.append((out.data, p))
+                ad.backward(ad.reduce_sum(ad.mul_rowvec(
+                    ad.reshape(out, (out.size,)), ad.Tensor(upstream.reshape(-1)))))
+            (old, p_old), (new, p_new) = grads
+            assert new.shape == (shape[0], shape[3], shape[2])
+            assert np.array_equal(old, new)
+            assert np.array_equal(p_old.grad, p_new.grad)
+
+    def test_grad_check(self):
+        g = RngStream(15).generator()
+        scores = g.uniform(0.0, 1.0, size=(3, 4, 2, 5))
+        targets = (g.uniform(size=(3, 5, 2)) > 0.5).astype(float)
+        w = ad.Parameter("w", g.uniform(0.1, 1.0, size=(4, 2)))
+
+        def f():
+            return ad.reduce_sum(ad.focal_from_logits(ad.window_sum(scores, w.value),
+                                                      targets, 0.25, 2.0))
+
+        report = ad.grad_check(f, [w], step=1e-5, tol=1e-4)
+        assert report.passed, report.max_rel_err
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(DimensionError, match="window_sum"):
+            ad.window_sum(np.ones((2, 3, 4, 5)), ad.Tensor(np.ones((4, 3))))
+
+
+class TestLeafGradients:
+    def test_writes_no_grad_and_accumulate_equals_backward(self):
+        data = rand((3,), 16)
+        p, q = ad.Parameter("p", data), ad.Parameter("q", data)
+        parts = ad.leaf_gradients(ad.reduce_sum(ad.mul_rowvec(p.value, p.value)))
+        assert p.value.grad is None
+        assert len(parts[p.value]) == 2  # one contribution per use of p
+        ad.accumulate([parts])
+        ad.backward(ad.reduce_sum(ad.mul_rowvec(q.value, q.value)))
+        assert np.array_equal(p.grad, q.grad)
+        np.testing.assert_allclose(p.grad, 2 * data, rtol=1e-15)
+
+    def test_seed_scales_every_contribution(self):
+        p = ad.Parameter("p", rand((4,), 17))
+        parts = ad.leaf_gradients(ad.reduce_sum(p.value), np.ones(()) * 0.25)
+        assert np.array_equal(parts[p.value][0], np.full(4, 0.25))
+
+    def test_parameter_itself_as_loss(self):
+        p = ad.Parameter("p", [2.0])
+        ad.backward(p.value)
+        assert np.array_equal(p.grad, [1.0])

@@ -454,3 +454,24 @@ class TestTrainEvalInspect:
                    str(data_dir), "--clip", "absent", "--attention",
                    str(tmp_path / "a.csv")])
         assert rc == 1
+
+
+class TestTopkK:
+    def test_topk_k_above_window_count_refused_before_out(self, workspace, tmp_path, capsys):
+        _root, _cfg, data_dir, out_dir = workspace
+        argv = ["eval", "--checkpoint", str(out_dir / "best.ckpt"), "--dataset", str(data_dir),
+                "--strategy", "avg", "--strategy", "topk"]
+        # TINY's 2 s spans at a 1 s stride give 5 windows
+        assert main(argv + ["--out", str(tmp_path / "five"), "--topk-k", "5"]) == 0
+        assert (tmp_path / "five" / "strategy_topk_per_class.csv").read_text() == (
+            tmp_path / "five" / "strategy_avg_per_class.csv").read_text()
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "six"), "--topk-k", "6"]) == 1
+        assert "error: --topk-k 6 exceeds the 5 windows" in capsys.readouterr().err
+        assert not (tmp_path / "six").exists()
+
+    def test_topk_k_unchecked_without_topk_strategy(self, workspace, tmp_path):
+        _root, _cfg, data_dir, out_dir = workspace
+        assert main(["eval", "--checkpoint", str(out_dir / "best.ckpt"), "--dataset",
+                     str(data_dir), "--out", str(tmp_path / "e"), "--strategy", "max",
+                     "--topk-k", "50"]) == 0

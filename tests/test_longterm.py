@@ -119,6 +119,12 @@ class TestAggregate:
         assert np.array_equal(aggregate(ws, strategy="max"),
                               aggregate(ws, strategy="topk", topk=1))
 
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_topk_outside_window_count_rejected(self, k):
+        ws = windowed(make_scores(RngStream(10).generator()))
+        with pytest.raises(ConfigError, match="window count"):
+            aggregate(ws, strategy="topk", topk=k)
+
     def test_max_matches_numpy_max(self):
         gen = RngStream(8).generator()
         s = make_scores(gen)

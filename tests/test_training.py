@@ -1,15 +1,21 @@
 import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from sceneact import autodiff as ad
+from sceneact import longterm
 from sceneact import model as mdl
 from sceneact import training
 from sceneact.checkpoint import params_hash
+from sceneact.config import config_from_dict
+from sceneact.errors import DimensionError
 from sceneact.longterm import WindowingConfig
-from sceneact.matching import LossConfig
+from sceneact.matching import LossConfig, match, set_loss
 from sceneact.rng import RngStream
-from sceneact.synthdata import ScenarioConfig, generate_dataset
+from sceneact.synthdata import ScenarioConfig, generate_dataset, ground_truth_set, keyframe_grid
 from sceneact.training import (
     AdamW,
     OptimizerConfig,
@@ -211,3 +217,87 @@ class TestSceneBlind:
         # the patched name is the one a scene-aware run goes through
         predict_clip(state.params, MODEL, dataset.eval[0], WINDOW, SCENARIO.grid_t)
         assert calls == [dataset.eval[0].clip_id]
+
+
+@pytest.fixture
+def pool_of(monkeypatch):
+    """Swap the worker pool for one with the given number of threads."""
+    pools = []
+
+    def make(workers):
+        pool = ThreadPoolExecutor(max_workers=workers)
+        pools.append(pool)
+        monkeypatch.setattr(longterm, "_window_pool", lambda: pool)
+        return pool
+
+    yield make
+    for pool in pools:
+        pool.shutdown(wait=True)
+
+
+class TestParallelStep:
+    """Each clip's backward runs on the pool; folding its gradients reproduces one backward."""
+
+    def test_accumulated_clip_gradients_equal_batch_backward_bitwise(self):
+        cfg = config_from_dict({})
+        scenario = dataclasses.replace(cfg.scenario, train_clips=4, eval_clips=1)
+        clips = generate_dataset(scenario).train
+        params = mdl.init_params(cfg.model, scenario.actor_dim, scenario.scene_dim,
+                                 RngStream(7).child_named("init"))
+        losses = []
+        for j, clip in enumerate(clips):
+            grid = keyframe_grid(clip, 1.05, 1.05, scenario.grid_t)
+            logits = mdl.forward_actions(params, cfg.model, clip.proposals, grid,
+                                         RngStream(7).child(j), training=True)
+            gts = ground_truth_set(clip, len(clip.proposals))
+            losses.append(set_loss(gts, logits, match(gts, clip.proposals, cfg.loss).sigma,
+                                   cfg.loss))
+        total = losses[0]
+        for loss in losses[1:]:
+            total = ad.add(total, loss)
+        ad.backward(ad.scale(total, 1.0 / len(losses)))
+        batch = {p.name: p.grad.copy() for p in params.parameters()}
+        for p in params.parameters():
+            p.zero_grad()
+        seed = np.ones(()) * (1.0 / len(losses))
+        ad.accumulate([ad.leaf_gradients(loss, seed) for loss in losses])
+        assert {"enc1.ln1.gain", "enc1.ln1.bias"} <= set(batch)
+        for p in params.parameters():
+            assert np.array_equal(p.grad, batch[p.name]), p.name
+
+    def test_checkpoint_and_log_independent_of_worker_count(self, dataset, tmp_path, pool_of):
+        outputs = []
+        interval = sys.getswitchinterval()
+        try:
+            for workers in (1, 2, 4):
+                pool_of(workers)
+                sys.setswitchinterval(1e-5 if workers > 1 else interval)
+                log_lines = []
+                train_short_term(dataset, MODEL, LossConfig(), opt_cfg(batch_size=3),
+                                 RngStream(5), windowing=WINDOW,
+                                 out_dir=tmp_path / str(workers), log_lines=log_lines)
+                outputs.append(((tmp_path / str(workers) / "last.ckpt").read_bytes(),
+                                log_lines))
+        finally:
+            sys.setswitchinterval(interval)
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_bad_clip_raises_in_caller_and_leaves_state(self, dataset, pool_of):
+        pool_of(2)
+        state = run(dataset, opt_cfg(epochs=1, batch_size=6))
+        before = {p.name: p.value.data.copy() for p in state.params.parameters()}
+        moments = {k: v.copy() for k, v in state.optimizer.state_arrays().items()}
+        clip = dataset.train[1]
+        wrong = dataclasses.replace(clip.proposals[0],
+                                    feature=np.zeros(SCENARIO.actor_dim + 1))
+        bad = dataclasses.replace(clip, proposals=[wrong, *clip.proposals[1:]])
+        train = [*dataset.train[:1], bad, *dataset.train[2:]]
+        with pytest.raises(DimensionError, match="actor feature shape"):
+            run(dataclasses.replace(dataset, train=train), opt_cfg(epochs=2, batch_size=6),
+                state=state)
+        assert state.step == 1 and state.epoch == 1
+        for p in state.params.parameters():
+            assert np.array_equal(p.value.data, before[p.name]), p.name
+        after = state.optimizer.state_arrays()
+        assert all(np.array_equal(after[k], v) for k, v in moments.items())
+        assert ad.reduce_sum(state.params.parameters()[0].value).requires_grad
