@@ -129,12 +129,16 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    # check the flags and the checkpoint before --out exists, so a refused run leaves nothing
+    if args.phase == "long" and not args.checkpoint:
+        raise ConfigError("--phase long requires --checkpoint from the short phase")
+    if args.phase == "short" and args.checkpoint:
+        raise ConfigError("--checkpoint is for --phase long; the short phase resumes with --resume")
+    if args.phase == "long" and args.resume:
+        raise ConfigError("--resume is for the short phase; --phase long takes --checkpoint")
     dataset, cfg = _load_dataset_dir(args.dataset, args.config)
-    # check the checkpoint before --out exists, so a refused run leaves nothing behind
     state = None
     if args.phase == "long":
-        if not args.checkpoint:
-            raise ConfigError("--phase long requires --checkpoint from the short phase")
         state, model_cfg, _scenario = _load_checkpoint(args.checkpoint, cfg, args.dataset)
     elif args.resume:
         state, model_cfg, scenario = load_train_state(args.resume, cfg.optimizer)

@@ -34,7 +34,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model as mdl
 from .errors import ConfigError, ContractError
-from .matching import LossConfig, match
+from .matching import LossConfig, matched_targets
 from .rng import RngStream
 from .synthdata import ClipSample, ground_truth_set, window_grid
 
@@ -267,16 +267,14 @@ def precompute_windowed(
     Returns ``scores`` (clips, windows, classes, K), whose proposal axis is
     permuted by each clip's keyframe match so that column i is the
     prediction matched to padded target i, and ``targets`` (clips, K,
-    classes), the 0/1 labels with all-zero padding rows.
+    classes), the clips' ``matched_targets`` labels.
     """
     all_scores, all_targets = [], []
     for clip in clips:
         ws = run_windowed(params, cfg, clip, windowing, grid_t)
-        gts = ground_truth_set(clip, len(clip.proposals))
-        sigma = match(gts, clip.proposals, loss_cfg).sigma
+        sigma, targets = matched_targets(ground_truth_set(clip, len(clip.proposals)),
+                                         clip.proposals, loss_cfg)
         all_scores.append(ws.scores[:, :, list(sigma)])
-        targets = np.zeros((gts.total, ws.scores.shape[1]))
-        targets[: gts.count] = gts.labels
         all_targets.append(targets)
     return np.stack(all_scores), np.stack(all_targets)
 

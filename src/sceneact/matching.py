@@ -9,7 +9,8 @@ loss sums the focal classification loss over matched action label
 vectors, where padding targets contribute all-negative labels.
 
 Only action logits carry gradient: the match itself is computed on plain
-floats and is a constant with respect to differentiation.
+floats and reads no relation-model output, so it is a constant of the data;
+callers compute it once per clip with ``matched_targets``.
 """
 
 from __future__ import annotations
@@ -125,17 +126,23 @@ def match(gts: GroundTruthSet, proposals, cfg: LossConfig) -> MatchResult:
     return hungarian(cost_matrix(gts, proposals, cfg))
 
 
-def set_loss(gts: GroundTruthSet, logits: ad.Tensor, sigma, cfg: LossConfig) -> ad.Tensor:
+def matched_targets(gts: GroundTruthSet, proposals, cfg: LossConfig) -> tuple[tuple, np.ndarray]:
+    """A clip's training target: the match ``sigma`` and the (K, num_classes)
+    0/1 labels of the padded targets, all zero on padding rows.
+    """
+    targets = np.zeros((gts.total, gts.labels.shape[1]))
+    targets[: gts.count] = gts.labels
+    return match(gts, proposals, cfg).sigma, targets
+
+
+def set_loss(logits: ad.Tensor, sigma, targets: np.ndarray, cfg: LossConfig) -> ad.Tensor:
     """Focal classification loss over matched targets, as a tape scalar.
 
-    ``logits`` is (num_classes, K). Padding targets contribute all-zero
-    label vectors, i.e. pure negatives for every class.
+    ``logits`` is (num_classes, K); ``sigma`` and the (K, num_classes)
+    ``targets`` come from ``matched_targets``.
     """
-    k = gts.total
-    if logits.shape[1] != k:
-        raise ContractError(f"logits have {logits.shape[1]} columns, expected {k}")
+    if targets.shape != logits.shape[::-1]:
+        raise ContractError(f"logits {logits.shape} do not fit targets {targets.shape}")
     rows = ad.transpose(logits)  # (K, num_classes)
     ordered = ad.gather_rows(rows, list(sigma))  # row i = prediction sigma(i)
-    targets = np.zeros((k, logits.shape[0]))
-    targets[: gts.count] = gts.labels
     return ad.reduce_sum(ad.focal_from_logits(ordered, targets, cfg.focal_alpha, cfg.focal_gamma))

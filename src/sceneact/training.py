@@ -1,16 +1,17 @@
 """Optimization loops tying the pipeline together.
 
 Phase 1 trains the relation model on short keyframe windows with
-temporal augmentation: embed, relate, classify, match, set loss,
-backward, clipped AdamW step. A step's clips run on the worker pool, and
-their losses and gradient terms are summed in clip order, the order one
-backward of the batch loss adds them, so a step is bit-identical on any
-number of CPUs. Phase 2 freezes the model and fits only the aggregation
-weights on long clips. All randomness (batch order, augmentation
-offsets, dropout masks) derives from the run seed through named
-sub-streams indexed by epoch and step, so a run is a pure function of
-its configuration and resuming from a checkpoint reproduces the
-uninterrupted trajectory bit for bit.
+temporal augmentation: embed, relate, classify, set loss, backward,
+clipped AdamW step. Each train clip's match and padded targets are
+constants of the data, computed once per call before the first step. A
+step's clips run on the worker pool, and their losses and gradient terms
+are summed in clip order, the order one backward of the batch loss adds
+them, so a step is bit-identical on any number of CPUs. Phase 2 freezes
+the model and fits only the aggregation weights on long clips. All
+randomness (batch order, augmentation offsets, dropout masks) derives
+from the run seed through named sub-streams indexed by epoch and step,
+so a run is a pure function of its configuration and resuming from a
+checkpoint reproduces the uninterrupted trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .longterm import (
     run_windowed,
     train_aggregation,
 )
-from .matching import LossConfig, match, set_loss
+from .matching import LossConfig, matched_targets, set_loss
 from .model import ModelConfig, ModelParams, init_params
 from .rng import RngStream
 from .synthdata import (
@@ -161,22 +162,6 @@ class TrainState:
     history: list = field(default_factory=list)  # (epoch, mean loss, mAP)
 
 
-def predict_clip(
-    params: ModelParams,
-    cfg: ModelConfig,
-    clip: ClipSample,
-    windowing: WindowingConfig,
-    grid_t: int,
-    use_scene: bool = True,
-    proposals=None,
-) -> np.ndarray:
-    """Short-term inference on the keyframe window: (num_classes, K) action scores."""
-    proposals = clip.proposals if proposals is None else proposals
-    grid = keyframe_grid(clip, windowing.t_before, windowing.t_after, grid_t) if use_scene else None
-    with ad.no_grad():
-        return action_scores(params, cfg, proposals, grid)
-
-
 def evaluate_short_term(
     params: ModelParams,
     cfg: ModelConfig,
@@ -203,10 +188,10 @@ def evaluate_short_term(
 
 
 def _clip_loss_and_gradients(params: ModelParams, cfg: ModelConfig, loss_cfg: LossConfig,
-                             clip: ClipSample, grid, gts, dropout_rng: RngStream, seed):
-    """One training clip's set loss value and its ``ad.leaf_gradients``, seeded with ``seed``."""
+                             clip: ClipSample, grid, target, dropout_rng: RngStream, seed):
+    """A clip's set loss on its ``matched_targets`` pair and ``ad.leaf_gradients`` from ``seed``."""
     logits = mdl.forward_actions(params, cfg, clip.proposals, grid, dropout_rng, training=True)
-    loss = set_loss(gts, logits, match(gts, clip.proposals, loss_cfg).sigma, loss_cfg)
+    loss = set_loss(logits, *target, loss_cfg)
     return loss.data, ad.leaf_gradients(loss, seed)
 
 
@@ -277,16 +262,18 @@ def train_short_term(
     trainable = params.parameters()
 
     clips = dataset.train
+    targets = [matched_targets(ground_truth_set(c, len(c.proposals)), c.proposals, loss_cfg)
+               for c in clips]
     for epoch in range(state.epoch, opt_cfg.epochs):
         lr_scale = opt_cfg.decay_factor if epoch >= opt_cfg.decay_epoch else 1.0
         order = rng.child_named("order").child(epoch).generator().permutation(len(clips))
         epoch_losses = []
         for b0 in range(0, len(order), opt_cfg.batch_size):
-            batch_ids = order[b0 : b0 + opt_cfg.batch_size]
-            batch = [clips[int(i)] for i in batch_ids]
+            batch = order[b0 : b0 + opt_cfg.batch_size]  # clip indices
             clip_weight = np.ones(()) * (1.0 / len(batch))  # d(batch-mean loss)/d(clip loss)
             jobs = []
-            for j, clip in enumerate(batch):
+            for j, i in enumerate(batch):
+                clip = clips[i]
                 aug = temporal_augment(
                     clip, AUGMENT_RANGE,
                     rng.child_named("aug").child(epoch, state.step, j),
@@ -296,8 +283,7 @@ def train_short_term(
                     if use_scene
                     else None
                 )
-                jobs.append((params, model_cfg, loss_cfg, clip, grid,
-                             ground_truth_set(clip, len(clip.proposals)),
+                jobs.append((params, model_cfg, loss_cfg, clip, grid, targets[i],
                              rng.child_named("dropout").child(epoch, state.step, j), clip_weight))
             results = map_on_pool(_clip_loss_and_gradients, jobs)
             # clip-order sums, so neither the loss nor a gradient depends on thread timing
@@ -309,7 +295,7 @@ def train_short_term(
                     diagnostics={
                         "epoch": epoch,
                         "step": state.step,
-                        "clip_ids": [c.clip_id for c in batch],
+                        "clip_ids": [clips[i].clip_id for i in batch],
                         "seed": rng.seed,
                     },
                 )

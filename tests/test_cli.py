@@ -370,11 +370,19 @@ class TestTrainEvalInspect:
         err = capsys.readouterr().err
         assert str(edited) in err and "'pre_norm'" in err and "'dropout'" in err
 
-    def test_long_phase_requires_checkpoint(self, workspace, tmp_path):
-        _root, cfg_path, data_dir, _out = workspace
+    @pytest.mark.parametrize("flags", [
+        ["--phase", "long"],
+        ["--checkpoint", "{tmp}/missing.ckpt"],
+        ["--phase", "long", "--checkpoint", "{run}/last.ckpt", "--resume", "{tmp}/missing.ckpt"],
+    ], ids=["long_without_checkpoint", "short_with_checkpoint", "long_with_resume"])
+    def test_long_phase_requires_checkpoint(self, workspace, tmp_path, capsys, flags):
+        _root, cfg_path, data_dir, out_dir = workspace
+        out = tmp_path / "lt"
         rc = main(["train", "--config", str(cfg_path), "--dataset", str(data_dir),
-                   "--out", str(tmp_path / "lt"), "--phase", "long"])
+                   "--out", str(out)] + [f.format(tmp=tmp_path, run=out_dir) for f in flags])
         assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_long_phase_trains_weights(self, workspace, tmp_path):
         _root, cfg_path, data_dir, out_dir = workspace

@@ -19,7 +19,7 @@ from sceneact.longterm import (
     train_aggregation,
     windows,
 )
-from sceneact.matching import LossConfig, match, set_loss
+from sceneact.matching import LossConfig, matched_targets, set_loss
 from sceneact.rng import RngStream
 from sceneact.synthdata import (
     ScenarioConfig,
@@ -161,9 +161,9 @@ class TestRunWindowed:
         clip = generate_clip(scenario, RngStream(900).child(0, 0), "c0", 0.0)
         single = WindowingConfig.short_term()
         ws = run_windowed(params, cfg, clip, single, scenario.grid_t)
-        from sceneact.training import predict_clip
-
-        scores = predict_clip(params, cfg, clip, single, scenario.grid_t)
+        grid = keyframe_grid(clip, single.t_before, single.t_after, scenario.grid_t)
+        with ad.no_grad():
+            scores = longterm.action_scores(params, cfg, clip.proposals, grid)
         np.testing.assert_allclose(ws.scores[0], scores, atol=1e-12)
 
     def test_constant_scene_gives_constant_scores(self):
@@ -306,8 +306,8 @@ def per_clip_loss(params, cfg, clips, wcfg, grid_t, loss_cfg, w):
     total, sigmas = None, []
     for clip in clips:
         ws = run_windowed(params, cfg, clip, wcfg, grid_t)
-        gts = ground_truth_set(clip, len(clip.proposals))
-        sigma = match(gts, clip.proposals, loss_cfg).sigma
+        sigma, targets = matched_targets(ground_truth_set(clip, len(clip.proposals)),
+                                         clip.proposals, loss_cfg)
         sigmas.append(sigma)
         fused = None
         for n in range(ws.scores.shape[0]):
@@ -316,7 +316,7 @@ def per_clip_loss(params, cfg, clips, wcfg, grid_t, loss_cfg, w):
             fused = term if fused is None else ad.add(fused, term)
         np.testing.assert_array_equal(
             fused.data, aggregate(ws, AggregationWeights(ws.offsets, w.value.data)))
-        loss = set_loss(gts, ad.logit(fused, 1e-9), sigma, loss_cfg)
+        loss = set_loss(ad.logit(fused, 1e-9), sigma, targets, loss_cfg)
         total = loss if total is None else ad.add(total, loss)
     return ad.scale(total, 1.0 / len(clips)), sigmas
 

@@ -16,6 +16,7 @@ from sceneact.matching import (
     cost_matrix,
     hungarian,
     match,
+    matched_targets,
     set_loss,
 )
 from sceneact.rng import RngStream
@@ -231,25 +232,44 @@ class TestMatch:
         assert gts.boxes[0].area > gts.boxes[1].area
 
 
+class TestMatchedTargets:
+    def test_pads_labels_and_returns_the_match(self):
+        cfg = LossConfig()
+        gen = RngStream(71).generator()
+        gts, props, _ = random_instance(gen, k=4, gt_count=2)
+        sigma, targets = matched_targets(gts, props, cfg)
+        assert sigma == match(gts, props, cfg).sigma
+        assert targets.shape == (4, 3)
+        np.testing.assert_array_equal(targets[:2], gts.labels)
+        np.testing.assert_array_equal(targets[2:], 0.0)
+
+    def test_set_loss_refuses_targets_of_another_shape(self):
+        gen = RngStream(73).generator()
+        gts, props, logits = random_instance(gen, k=4, gt_count=2)
+        sigma, targets = matched_targets(gts, props, LossConfig())
+        with pytest.raises(ContractError, match="do not fit"):
+            set_loss(ad.Tensor(logits), sigma, targets[:3], LossConfig())
+
+
 class TestSetLoss:
     def test_all_padding_confident_negatives_vanish(self):
         gts = GroundTruthSet.build([], np.zeros((0, 2)), 3)
         logits = ad.Tensor(np.full((2, 3), -200.0))
-        loss = set_loss(gts, logits, (0, 1, 2), LossConfig())
+        loss = set_loss(logits, (0, 1, 2), np.zeros((gts.total, 2)), LossConfig())
         assert loss.item() == pytest.approx(0.0, abs=1e-60)
 
     def test_invariant_under_joint_permutation(self):
         gen = RngStream(59).generator()
         gts, props, logits = random_instance(gen, k=4, gt_count=2)
         cfg = LossConfig()
-        sigma = match(gts, props, cfg).sigma
-        base = set_loss(gts, ad.Tensor(logits), sigma, cfg).item()
+        sigma, targets = matched_targets(gts, props, cfg)
+        base = set_loss(ad.Tensor(logits), sigma, targets, cfg).item()
         perm = [2, 0, 3, 1]  # prediction j moves to column perm[j]
         permuted = np.empty_like(logits)
         for j in range(4):
             permuted[:, perm[j]] = logits[:, j]
         sigma2 = tuple(perm[j] for j in sigma)
-        assert set_loss(gts, ad.Tensor(permuted), sigma2, cfg).item() == base
+        assert set_loss(ad.Tensor(permuted), sigma2, targets, cfg).item() == base
 
     def test_hand_summation_oracle(self):
         cfg = LossConfig()
@@ -264,7 +284,7 @@ class TestSetLoss:
         for i, labels in enumerate(gts.labels):
             for k in range(2):
                 expected += scalar_focal(logits[k, sigma[i]], int(labels[k]), cfg)
-        got = set_loss(gts, ad.Tensor(logits), sigma, cfg).item()
+        got = set_loss(ad.Tensor(logits), sigma, gts.labels, cfg).item()
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_gradient_reaches_only_logits(self):
@@ -272,7 +292,7 @@ class TestSetLoss:
         gts, props, logits = random_instance(gen, k=3, gt_count=2)
         cfg = LossConfig()
         p = ad.Parameter("logits", logits)
-        sigma = match(gts, props, cfg).sigma
-        ad.backward(set_loss(gts, p.value, sigma, cfg))
+        sigma, targets = matched_targets(gts, props, cfg)
+        ad.backward(set_loss(p.value, sigma, targets, cfg))
         assert p.grad.shape == p.value.data.shape
         assert np.any(p.grad != 0)

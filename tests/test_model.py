@@ -507,7 +507,7 @@ class TestCheckpoint:
 
 class TestFullForwardGradient:
     def test_pipeline_grad_check(self):
-        from sceneact.matching import GroundTruthSet, LossConfig, match, set_loss
+        from sceneact.matching import GroundTruthSet, LossConfig, matched_targets, set_loss
 
         cfg = tiny_cfg()
         params = mdl.init_params(cfg, 5, 6, RngStream(42))
@@ -521,15 +521,15 @@ class TestFullForwardGradient:
 
         def f():
             logits = mdl.forward_actions(params, cfg, props, grid, RngStream(0))
-            sigma = match(gts, props, lcfg).sigma
-            return set_loss(gts, logits, sigma, lcfg)
+            sigma, targets = matched_targets(gts, props, lcfg)
+            return set_loss(logits, sigma, targets, lcfg)
 
         report = ad.grad_check(f, params.parameters(), step=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_err
 
     @pytest.mark.parametrize("variant", mdl.VARIANTS)
     def test_only_parameter_leaves_hold_gradients(self, variant):
-        from sceneact.matching import GroundTruthSet, LossConfig, match, set_loss
+        from sceneact.matching import GroundTruthSet, LossConfig, matched_targets, set_loss
 
         cfg = tiny_cfg(variant=variant, dropout=0.3)
         params = mdl.init_params(cfg, 5, 6, RngStream(44))
@@ -538,8 +538,8 @@ class TestFullForwardGradient:
         gts = GroundTruthSet.build([props[1].box], np.array([[0, 1.0, 0]]), 3)
         logits = mdl.forward_actions(params, cfg, props, make_grid(gen), RngStream(46),
                                      training=True)
-        sigma = match(gts, props, LossConfig()).sigma
-        loss = set_loss(gts, logits, sigma, LossConfig())
+        sigma, targets = matched_targets(gts, props, LossConfig())
+        loss = set_loss(logits, sigma, targets, LossConfig())
         ad.backward(loss)
         seen, stack, holders = {id(loss)}, [loss], []
         while stack:

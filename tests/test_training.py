@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -6,14 +7,14 @@ import numpy as np
 import pytest
 
 from sceneact import autodiff as ad
-from sceneact import longterm
+from sceneact import longterm, matching
 from sceneact import model as mdl
 from sceneact import training
 from sceneact.checkpoint import params_hash
 from sceneact.config import config_from_dict
 from sceneact.errors import DimensionError
 from sceneact.longterm import WindowingConfig
-from sceneact.matching import LossConfig, match, set_loss
+from sceneact.matching import LossConfig, matched_targets, set_loss
 from sceneact.rng import RngStream
 from sceneact.synthdata import ScenarioConfig, generate_dataset, ground_truth_set, keyframe_grid
 from sceneact.training import (
@@ -22,7 +23,6 @@ from sceneact.training import (
     clip_gradients,
     evaluate_short_term,
     load_train_state,
-    predict_clip,
     save_train_state,
     train_long_term,
     train_short_term,
@@ -188,9 +188,15 @@ class TestSceneBlind:
         clip = dataset.eval[0]
         noise = np.random.default_rng(0).standard_normal(clip.timeline.shape)
         other = dataclasses.replace(clip, timeline=noise)
-        blind = [predict_clip(params, MODEL, c, WINDOW, SCENARIO.grid_t, use_scene=False)
-                 for c in (clip, other)]
-        seeing = [predict_clip(params, MODEL, c, WINDOW, SCENARIO.grid_t) for c in (clip, other)]
+
+        def scores(c, use_scene):
+            grid = (keyframe_grid(c, WINDOW.t_before, WINDOW.t_after, SCENARIO.grid_t)
+                    if use_scene else None)
+            with ad.no_grad():
+                return longterm.action_scores(params, MODEL, c.proposals, grid)
+
+        blind = [scores(c, use_scene=False) for c in (clip, other)]
+        seeing = [scores(c, use_scene=True) for c in (clip, other)]
         np.testing.assert_array_equal(blind[0], blind[1])
         assert not np.array_equal(seeing[0], seeing[1])
 
@@ -215,8 +221,44 @@ class TestSceneBlind:
                                  windowing=WINDOW, use_scene=False)
         assert calls == []
         # the patched name is the one a scene-aware run goes through
-        predict_clip(state.params, MODEL, dataset.eval[0], WINDOW, SCENARIO.grid_t)
+        evaluate_short_term(state.params, MODEL, dataset.eval[:1], SCENARIO, WINDOW)
         assert calls == [dataset.eval[0].clip_id]
+
+
+class TestMatchOnce:
+    """A clip's match reads only its truth and fixed proposals: one solve per clip per call."""
+
+    def test_match_and_clipping_warning_once_per_train_clip(self, monkeypatch, caplog):
+        # more actors than proposals, so building each clip's padded truth warns
+        scenario = dataclasses.replace(SCENARIO, num_actors=(4, 5), proposal_count=3)
+        crowded = generate_dataset(scenario)
+        n = len(crowded.train)
+        calls = []
+        real_match = matching.match
+
+        def counting_match(gts, proposals, cfg):
+            calls.append(id(proposals))
+            return real_match(gts, proposals, cfg)
+
+        for module in (matching, training, longterm):  # every module that binds the name
+            if hasattr(module, "match"):
+                monkeypatch.setattr(module, "match", counting_match)
+        caplog.set_level(logging.WARNING, logger="sceneact.matching")
+
+        def clipped():
+            return sum("clipping" in r.getMessage() for r in caplog.records)
+
+        state = train_short_term(crowded, MODEL, LossConfig(), opt_cfg(epochs=2),
+                                 RngStream(5), windowing=WINDOW)
+        assert len(calls) == n and len(set(calls)) == n
+        assert clipped() == n
+        state = train_short_term(crowded, MODEL, LossConfig(), opt_cfg(epochs=3),
+                                 RngStream(5), windowing=WINDOW, state=state)
+        assert state.epoch == 3
+        assert len(calls) == 2 * n and clipped() == 2 * n
+        train_long_term(state, crowded, MODEL, LossConfig(),
+                        opt_cfg(aggregation_epochs=2), WindowingConfig(1.05, 1.05, 1.0, 1.0, 1.0))
+        assert len(calls) == 3 * n and clipped() == 3 * n
 
 
 @pytest.fixture
@@ -249,9 +291,9 @@ class TestParallelStep:
             grid = keyframe_grid(clip, 1.05, 1.05, scenario.grid_t)
             logits = mdl.forward_actions(params, cfg.model, clip.proposals, grid,
                                          RngStream(7).child(j), training=True)
-            gts = ground_truth_set(clip, len(clip.proposals))
-            losses.append(set_loss(gts, logits, match(gts, clip.proposals, cfg.loss).sigma,
-                                   cfg.loss))
+            sigma, targets = matched_targets(ground_truth_set(clip, len(clip.proposals)),
+                                             clip.proposals, cfg.loss)
+            losses.append(set_loss(logits, sigma, targets, cfg.loss))
         total = losses[0]
         for loss in losses[1:]:
             total = ad.add(total, loss)
