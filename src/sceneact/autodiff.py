@@ -11,6 +11,19 @@ that share parameters. ``backward`` adds the terms to ``.grad``, where
 they accumulate across backward calls until ``zero_grad``.
 
 Tensors are immutable values: the numpy buffer is marked read-only.
+
+Operations: ``matmul``, ``add``, ``scale``, ``add_rowvec``, ``mul_rowvec``,
+``transpose``, ``reshape``, ``concat``, ``narrow``, ``gather_rows`` and
+``reduce_sum`` move and combine values; ``layer_norm``, ``softmax``,
+``gelu``, ``logit``, ``dropout`` and ``focal_from_logits`` are the
+nonlinear maps. Three fused ops each record one node for what would be
+many: ``linear`` (a dense layer), ``attention`` (all heads of one
+attention sublayer) and ``window_sum`` (the phase-2 weighted window sum).
+Each equals its primitive composition bit for bit, values and gradient
+terms alike, and shares its formulas with the primitives through private
+helpers. Fewer nodes mean fewer Python round trips per clip, which is
+what limits the worker threads: they hold the interpreter lock between
+numpy calls.
 """
 
 from __future__ import annotations
@@ -155,6 +168,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 a.data.T @ g if b.requires_grad else None)
 
     return _wrap(out, (a, b), bwd)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Dense layer over the rows of x [m, k]: x wᵀ + b, with w [n, k] and b [n].
+
+    One node, equal bit for bit to ``add_rowvec(matmul(x, transpose(w)), b)``.
+    """
+    _check_2d(x, w, "linear")
+    if x.shape[1] != w.shape[1] or b.data.shape != (w.shape[0],):
+        raise DimensionError(f"linear: rows {x.shape}, weight {w.shape}, bias {b.shape}")
+    wt = w.data.T.copy()
+    out = x.data @ wt
+    out += b.data
+
+    def bwd(g):
+        return (g @ wt.T if x.requires_grad else None,
+                (x.data.T @ g).T if w.requires_grad else None,
+                g.sum(axis=0) if b.requires_grad else None)
+
+    return _wrap(out, (x, w, b), bwd)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -308,17 +341,24 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _wrap(out, (x, gain, bias), bwd)
 
 
+def _softmax(s: np.ndarray, axis: int) -> np.ndarray:
+    """Stabilized softmax along one axis, computed in place in ``s``, which the caller owns."""
+    s -= s.max(axis=axis, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=axis, keepdims=True)
+    return s
+
+
+def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """Gradient through a softmax whose output is ``y``, given the output gradient ``g``."""
+    dot = (g * y).sum(axis=axis, keepdims=True)
+    return y * (g - dot)
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Stabilized softmax along one axis."""
-    y = x.data - x.data.max(axis=axis, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot),)
-
-    return _wrap(y, (x,), bwd)
+    y = _softmax(x.data.copy(), axis)
+    return _wrap(y, (x,), lambda g: (_softmax_grad(y, g, axis),))
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -365,13 +405,90 @@ def dropout(x: Tensor, rate: float, rng: RngStream, training: bool) -> Tensor:
     The mask is a pure function of ``rng``. Inference mode returns the
     input unchanged (bit-identical).
     """
+    if not _drops(rate, training):
+        return x
+    mask = _dropout_mask(x.data.shape, rate, rng)
+    return _wrap(x.data * mask, (x,), lambda g: (g * mask,))
+
+
+def _drops(rate: float, training: bool) -> bool:
+    """Whether dropout at ``rate`` changes anything; refuses a rate outside [0, 1)."""
     if rate >= 1.0 or rate < 0.0:
         raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return x
-    keep = 1.0 - rate
-    mask = (rng.generator().random(x.data.shape) >= rate) / keep
-    return _wrap(x.data * mask, (x,), lambda g: (g * mask,))
+    return training and rate != 0.0
+
+
+def _dropout_mask(shape: tuple, rate: float, rng: RngStream) -> np.ndarray:
+    """Survivors 1 / (1 - rate), dropped entries 0; a pure function of ``rng``."""
+    return (rng.generator().random(shape) >= rate) / (1.0 - rate)
+
+
+def _join_heads(blocks: list, shape: tuple) -> np.ndarray:
+    """Head blocks side by side, as the sum of their zero-padded copies gives them.
+
+    That sum adds +0 to every block (turning -0 into +0) unless one block
+    is the whole sum.
+    """
+    if len(blocks) == 1:
+        return np.ascontiguousarray(blocks[0])
+    full = np.zeros(shape)
+    dh = shape[1] // len(blocks)
+    for h, blk in enumerate(blocks):
+        full[:, h * dh:(h + 1) * dh] += blk
+    return full
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, rate: float, rng: RngStream,
+              training: bool, sink: list | None = None, layer: int = 0) -> Tensor:
+    """Multi-head dot-product attention of query rows q [m, d] over key/value rows k, v [n, d].
+
+    Head h reads columns [h d/heads, (h + 1) d/heads). Its weights are
+    softmax(q_h k_hᵀ), with q already scaled; ``sink`` receives them as
+    (layer, h, weights); dropout draws from ``rng.child(0, h)``; the head
+    returns weights · v_h. The heads come back side by side, [m, d], as one
+    node equal bit for bit to the narrow / transpose / matmul / softmax /
+    dropout / concat composition. Heads run one at a time, so no
+    (heads, m, n) stack is formed, and without recording no head's arrays
+    outlive its turn.
+    """
+    if q.data.ndim != 2 or k.data.ndim != 2 or k.shape != v.shape or k.shape[1] != q.shape[1]:
+        raise DimensionError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
+    if heads < 1 or q.shape[1] % heads:
+        raise DimensionError(f"attention: {heads} heads do not divide width {q.shape[1]}")
+    drops = _drops(rate, training)
+    record = _recording and (q.requires_grad or k.requires_grad or v.requires_grad)
+    dh = q.shape[1] // heads
+    cols = [slice(h * dh, (h + 1) * dh) for h in range(heads)]
+    kt = k.data.T.copy()  # head h's k_hᵀ is the contiguous row block kt[cols[h]]
+    out = np.empty(q.shape)
+    saved = []  # per head: softmax output, dropout mask, dropped weights
+    for h, c in enumerate(cols):
+        y = _softmax(q.data[:, c] @ kt[c], -1)
+        if sink is not None:
+            sink.append((layer, h, y.copy()))
+        mask = _dropout_mask(y.shape, rate, rng.child(0, h)) if drops else None
+        w = y * mask if drops else y
+        out[:, c] = w @ v.data[:, c]
+        if record:
+            saved.append((y, mask, w))
+
+    def bwd(g):
+        dq, dk, dv = [], [], []
+        for c, (y, mask, w) in zip(cols, saved):
+            gh = g[:, c]
+            if v.requires_grad:
+                dv.append(w.T @ gh)
+            if q.requires_grad or k.requires_grad:
+                dw = gh @ v.data[:, c].T
+                ds = _softmax_grad(y, dw if mask is None else dw * mask, -1)
+                if q.requires_grad:
+                    dq.append(ds @ kt[c].T)
+                if k.requires_grad:
+                    dk.append((q.data[:, c].T @ ds).T)
+        return tuple(_join_heads(d, t.shape) if t.requires_grad else None
+                     for d, t in ((dq, q), (dk, k), (dv, v)))
+
+    return _wrap(out, (q, k, v), bwd)
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:

@@ -85,8 +85,9 @@ def _load_checkpoint(path, cfg: RunConfig, dataset_dir):
     return state, model_cfg, scenario
 
 
-def _load_dataset_dir(dataset_dir, config_path=None) -> tuple[Dataset, RunConfig]:
-    """Check the manifest, then regenerate its dataset.
+def _load_dataset_dir(dataset_dir, config_path=None,
+                      with_train: bool = True) -> tuple[Dataset, RunConfig]:
+    """Check the manifest, then regenerate its dataset (``with_train=False``: its eval split).
 
     A ``config_path`` replaces the manifest's run configuration, but its
     scenario (seed included) must be the one the dataset was made from.
@@ -103,7 +104,7 @@ def _load_dataset_dir(dataset_dir, config_path=None) -> tuple[Dataset, RunConfig
         _require_match(str(config_path), f"the manifest in {dataset_dir}",
                        scenario=(given.scenario, cfg.scenario))
         cfg = given
-    return generate_dataset(cfg.scenario), cfg
+    return generate_dataset(cfg.scenario, with_train), cfg
 
 
 def cmd_generate(args) -> int:
@@ -189,7 +190,7 @@ def cmd_eval(args) -> int:
         if not 0.0 <= tau <= 1.0:
             raise ConfigError(f"--threshold must lie in [0, 1], got {tau:g}")
     support_seconds = [_finite("--support", text) for text in args.support or []]
-    dataset, cfg = _load_dataset_dir(args.dataset)
+    dataset, cfg = _load_dataset_dir(args.dataset, with_train=False)
     if "topk" in (args.strategy or []) and args.topk_k > cfg.windowing.num_windows:
         raise ConfigError(f"--topk-k {args.topk_k} exceeds the {cfg.windowing.num_windows} "
                           f"windows that --strategy topk fuses")

@@ -18,6 +18,13 @@ blocks have two sublayers (self, then cross); the rest have one. Only the
 last sublayer exports to ``attn_sink``: the unified stack's attention, or
 the other variants' actor-to-scene cross-attention.
 
+An attention sublayer records five tape nodes besides the query scale and
+the output dropout: three ``ad.linear`` projections (queries, keys,
+values), one ``ad.attention`` node that runs the heads one after another
+(each head's softmax weights, dropout from ``rng.child(0, h)`` and value
+mix on its own column block), and the output ``ad.linear``. Every dense
+layer is one ``ad.linear`` node.
+
 The unified stack's last block queries with the K actor rows, the only
 rows the head reads; its keys and values still cover all K + N tokens.
 This is exact: all but keys and values is row-wise, and Philox fills in C
@@ -252,10 +259,6 @@ def embed_scene(grid, params: ModelParams) -> Tensor:
 # attention stacks (row-token layout internally: (tokens, D))
 
 
-def _linear_rows(x: Tensor, w: Parameter, b: Parameter) -> Tensor:
-    return ad.add_rowvec(ad.matmul(x, ad.transpose(w.value)), b.value)
-
-
 def _mha(
     q_rows: Tensor,
     kv_rows: Tensor,
@@ -266,29 +269,18 @@ def _mha(
     sink: list | None,
     layer: int,
 ) -> Tensor:
-    d = cfg.embed_dim
-    dh = d // cfg.heads
-    q = ad.scale(_linear_rows(q_rows, attn.wq, attn.bq), 1.0 / np.sqrt(dh))
-    k = _linear_rows(kv_rows, attn.wk, attn.bk)
-    v = _linear_rows(kv_rows, attn.wv, attn.bv)
-    outs = []
-    for h in range(cfg.heads):
-        qh = ad.narrow(q, 1, h * dh, (h + 1) * dh)
-        kh = ad.narrow(k, 1, h * dh, (h + 1) * dh)
-        vh = ad.narrow(v, 1, h * dh, (h + 1) * dh)
-        weights = ad.softmax(ad.matmul(qh, ad.transpose(kh)), axis=-1)
-        if sink is not None:
-            sink.append((layer, h, weights.data.copy()))
-        weights = ad.dropout(weights, cfg.dropout, rng.child(0, h), training)
-        outs.append(ad.matmul(weights, vh))
-    merged = ad.concat(outs, axis=1)
-    out = _linear_rows(merged, attn.wo, attn.bo)
+    q = ad.scale(ad.linear(q_rows, attn.wq.value, attn.bq.value),
+                 1.0 / np.sqrt(cfg.embed_dim // cfg.heads))
+    k = ad.linear(kv_rows, attn.wk.value, attn.bk.value)
+    v = ad.linear(kv_rows, attn.wv.value, attn.bv.value)
+    merged = ad.attention(q, k, v, cfg.heads, cfg.dropout, rng, training, sink, layer)
+    out = ad.linear(merged, attn.wo.value, attn.bo.value)
     return ad.dropout(out, cfg.dropout, rng.child(1), training)
 
 
 def _mlp(x: Tensor, blk, cfg: ModelConfig, rng: RngStream, training: bool) -> Tensor:
-    h = ad.gelu(_linear_rows(x, blk.w1, blk.b1))
-    out = _linear_rows(h, blk.w2, blk.b2)
+    h = ad.gelu(ad.linear(x, blk.w1.value, blk.b1.value))
+    out = ad.linear(h, blk.w2.value, blk.b2.value)
     return ad.dropout(out, cfg.dropout, rng.child(2), training)
 
 
@@ -368,8 +360,8 @@ def encode_variant(
 def classify(actor_tokens: Tensor, params: ModelParams) -> Tensor:
     """Two-layer perceptron per actor token; returns (num_classes, K) logits."""
     x = ad.transpose(actor_tokens)  # (K, D)
-    h = ad.gelu(_linear_rows(x, params.head_w1, params.head_b1))
-    logits = _linear_rows(h, params.head_w2, params.head_b2)
+    h = ad.gelu(ad.linear(x, params.head_w1.value, params.head_b1.value))
+    logits = ad.linear(h, params.head_w2.value, params.head_b2.value)
     return ad.transpose(logits)
 
 

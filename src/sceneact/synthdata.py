@@ -472,11 +472,16 @@ class Dataset:
         raise ValidationError(f"unknown clip id {clip_id!r}")
 
 
-def generate_dataset(cfg: ScenarioConfig) -> Dataset:
+def generate_dataset(cfg: ScenarioConfig, with_train: bool = True) -> Dataset:
+    """Both splits, or the eval split alone and an empty train split.
+
+    Each clip is a function of the seed and its own index, so the eval clips
+    are the same either way.
+    """
     root = RngStream(cfg.seed)
     train = [
         generate_clip(cfg, root.child(0, i), f"train_{i:04d}", 900.0 + i)
-        for i in range(cfg.train_clips)
+        for i in range(cfg.train_clips if with_train else 0)
     ]
     evals = [
         generate_clip(cfg, root.child(1, i), f"eval_{i:04d}", 9000.0 + i)

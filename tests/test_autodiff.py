@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -374,3 +376,126 @@ class TestLeafGradients:
         p = ad.Parameter("p", [2.0])
         ad.backward(p.value)
         assert np.array_equal(p.grad, [1.0])
+
+
+def composed_linear(x, w, b):
+    """The primitive-op dense layer that ``ad.linear`` replaces."""
+    return ad.add_rowvec(ad.matmul(x, ad.transpose(w)), b)
+
+
+def composed_attention(q, k, v, heads, rate, rng, training, sink, layer):
+    """The per-head primitive-op loop that ``ad.attention`` replaces."""
+    dh = q.shape[1] // heads
+    outs = []
+    for h in range(heads):
+        qh = ad.narrow(q, 1, h * dh, (h + 1) * dh)
+        kh = ad.narrow(k, 1, h * dh, (h + 1) * dh)
+        vh = ad.narrow(v, 1, h * dh, (h + 1) * dh)
+        weights = ad.softmax(ad.matmul(qh, ad.transpose(kh)), axis=-1)
+        if sink is not None:
+            sink.append((layer, h, weights.data.copy()))
+        weights = ad.dropout(weights, rate, rng.child(0, h), training)
+        outs.append(ad.matmul(weights, vh))
+    return ad.concat(outs, axis=1)
+
+
+class TestFusedOps:
+    """``linear`` and ``attention`` against the compositions they replace, bit for bit."""
+
+    D = 8
+
+    def sublayer(self, linear, attention, heads, training, cross, sink):
+        """A pre-norm attention sublayer and a dense layer on top, as ``model`` builds them."""
+        g = RngStream(20).generator()
+        params = {name: ad.Parameter(name, g.uniform(-1.0, 1.0, size=shape)) for name, shape in [
+            ("x", (5, self.D)), ("src", (7, self.D)), ("gain", (self.D,)), ("bias", (self.D,)),
+            *[(f"w{n}", (self.D, self.D)) for n in "qkvo"],
+            *[(f"b{n}", (self.D,)) for n in "qkvo"], ("w1", (3, self.D)), ("b1", (3,))]}
+        v = {name: p.value for name, p in params.items()}
+        x = ad.layer_norm(v["x"], v["gain"], v["bias"])
+        kv = ad.layer_norm(v["src"], v["gain"], v["bias"]) if cross else x
+        q = ad.scale(linear(x, v["wq"], v["bq"]), 1.0 / np.sqrt(self.D // heads))
+        merged = attention(q, linear(kv, v["wk"], v["bk"]), linear(kv, v["wv"], v["bv"]),
+                           heads, 0.3, RngStream(21), training, sink, 4)
+        out = ad.add(v["x"], linear(merged, v["wo"], v["bo"]))
+        loss = ad.reduce_sum(ad.gelu(linear(ad.gelu(out), v["w1"], v["b1"])))
+        return merged, loss, params
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("cross", [False, True])
+    def test_values_gradient_terms_and_sink_equal_composition_bitwise(self, heads, training,
+                                                                      cross):
+        runs = []
+        for linear, attention in ((composed_linear, composed_attention),
+                                  (ad.linear, ad.attention)):
+            sink = []
+            merged, loss, params = self.sublayer(linear, attention, heads, training, cross, sink)
+            parts = ad.leaf_gradients(loss)
+            terms = {p.name: [t.tobytes() for t in parts[p.value]]
+                     for p in params.values() if p.value in parts}
+            runs.append((merged.data.tobytes(), loss.data.tobytes(), terms,
+                         [(layer, h, w.tobytes()) for layer, h, w in sink]))
+        (merged_old, loss_old, terms_old, sink_old), (merged_new, loss_new, terms_new,
+                                                      sink_new) = runs
+        assert merged_new == merged_old
+        assert loss_new == loss_old
+        assert len(terms_new) == (14 if cross else 13)  # every parameter but src, or all
+        assert terms_new == terms_old
+        assert [entry[:2] for entry in sink_new] == [(4, h) for h in range(heads)]
+        assert sink_new == sink_old
+
+    def test_tape_holds_one_node_per_op(self):
+        x = ad.Parameter("x", rand((3, 4), 22))
+        q = ad.linear(x.value, ad.Tensor(rand((4, 4), 23)), ad.Tensor(rand((4,), 24)))
+        assert q._parents[0] is x.value
+        out = ad.attention(q, q, q, 2, 0.5, RngStream(25), True)
+        assert out._parents == (q, q, q)
+
+    def test_nothing_recorded_under_no_grad(self):
+        x = ad.Parameter("x", rand((3, 4), 26))
+        w, b = ad.Parameter("w", rand((4, 4), 27)), ad.Parameter("b", rand((4,), 28))
+        sink = []
+        with ad.no_grad():
+            q = ad.linear(x.value, w.value, b.value)
+            out = ad.attention(q, q, q, 2, 0.5, RngStream(29), True, sink)
+        for t in (q, out):
+            assert not t.requires_grad and t._parents == () and t._backward is None
+        assert len(sink) == 2  # inference still exports the weights
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_grad_check(self, training):
+        g = RngStream(30).generator()
+        xq = ad.Parameter("xq", g.uniform(-1.0, 1.0, size=(3, 4)))
+        xkv = ad.Parameter("xkv", g.uniform(-1.0, 1.0, size=(5, 4)))
+        w = ad.Parameter("w", g.uniform(-1.0, 1.0, size=(4, 4)))
+        b = ad.Parameter("b", g.uniform(-1.0, 1.0, size=(4,)))
+
+        def f():
+            k = ad.linear(xkv.value, w.value, b.value)
+            out = ad.attention(xq.value, k, ad.gelu(xkv.value), 2, 0.5, RngStream(31), training)
+            return ad.reduce_sum(ad.gelu(out))
+
+        report = ad.grad_check(f, [xq, xkv, w, b], step=1e-5, tol=1e-4)
+        assert report.passed, report.max_rel_err
+
+    def test_shapes_checked(self):
+        t = ad.Tensor(np.ones((3, 4)))
+        with pytest.raises(DimensionError, match="linear"):
+            ad.linear(t, ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones(2)))
+        with pytest.raises(DimensionError, match="heads"):
+            ad.attention(t, t, t, 3, 0.0, RngStream(0), False)
+        with pytest.raises(ConfigError):
+            ad.attention(t, t, t, 2, 1.0, RngStream(0), True)
+
+    @pytest.mark.parametrize("heads", [1, 3])
+    def test_head_gradients_keep_the_signed_zeros_of_summed_padded_blocks(self, heads):
+        blocks = [np.array([[-0.0, 1.5], [-2.0, -0.0]]) for _ in range(heads)]
+        padded = []
+        for h, blk in enumerate(blocks):
+            full = np.zeros((2, 2 * heads))
+            full[:, 2 * h:2 * h + 2] = blk
+            padded.append(full)
+        joined = ad._join_heads(blocks, (2, 2 * heads))
+        assert joined.tobytes() == functools.reduce(np.add, padded).tobytes()
+        assert np.signbit(joined[joined == 0.0]).any() == (heads == 1)  # -0 survives one head

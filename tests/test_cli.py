@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sceneact import cli
+from sceneact import cli, synthdata
 from sceneact.cli import main
 from sceneact.config import config_from_dict, config_hash, load_config
 from sceneact.errors import ConfigError, NanLossError
@@ -282,6 +282,30 @@ class TestTrainEvalInspect:
         names = {p.name for p in eval_dir.iterdir()}
         assert "sampling_topk_summary.txt" in names
         assert "sampling_tau_0.9_per_class.csv" in names
+
+    def test_eval_generates_only_the_eval_split(self, workspace, tmp_path, monkeypatch):
+        _root, _cfg, data_dir, out_dir = workspace
+        argv = ["eval", "--checkpoint", str(out_dir / "best.ckpt"), "--dataset", str(data_dir),
+                "--topk", "--threshold", "0.5", "--strategy", "weighted", "--strategy", "avg"]
+        generated = []
+        make_clip = synthdata.generate_clip
+
+        def counting(*args):
+            generated.append(args[2])  # the clip id
+            return make_clip(*args)
+
+        monkeypatch.setattr(synthdata, "generate_clip", counting)
+        assert main(argv + ["--out", str(tmp_path / "eval_split")]) == 0
+        assert generated == [f"eval_{i:04d}" for i in range(TINY["scenario"]["eval_clips"])]
+        # reference: the same eval on clips generated with the train split
+        both = cli.generate_dataset
+        monkeypatch.setattr(cli, "generate_dataset", lambda cfg, with_train=True: both(cfg))
+        assert main(argv + ["--out", str(tmp_path / "both_splits")]) == 0
+        assert "train_0000" in generated
+        reports = sorted((tmp_path / "eval_split").iterdir())
+        assert len(reports) == 8
+        for path in reports:
+            assert path.read_bytes() == (tmp_path / "both_splits" / path.name).read_bytes()
 
     def test_eval_strategy_uniform_weighted_equals_avg(self, workspace, tmp_path):
         _root, _cfg, data_dir, out_dir = workspace
