@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -587,71 +587,3 @@ def backward(loss: Tensor):
     """Accumulate d(loss)/d(parameter) into every reachable parameter leaf's grad."""
     accumulate([leaf_gradients(loss)])
 
-
-# ---------------------------------------------------------------------------
-# gradient verification
-
-
-class GradCheckReport:
-    """Per-parameter maximum relative error between tape and central differences."""
-
-    def __init__(self, max_rel_err: dict[str, float], tol: float):
-        self.max_rel_err = max_rel_err
-        self.tol = tol
-
-    @property
-    def failures(self) -> list[str]:
-        return [n for n, e in self.max_rel_err.items() if e > self.tol]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    @property
-    def worst(self) -> float:
-        return max(self.max_rel_err.values(), default=0.0)
-
-    def __repr__(self):
-        return f"GradCheckReport(worst={self.worst:.3e}, failures={self.failures})"
-
-
-def grad_check(
-    f: Callable[[], Tensor],
-    params: Iterable[Parameter],
-    step: float = 1e-5,
-    tol: float = 1e-4,
-) -> GradCheckReport:
-    """Compare tape gradients of a scalar function against central differences.
-
-    Relative error uses a scale floor of 1e-3 so that finite-difference
-    noise on near-zero entries does not register as failure.
-    """
-    if step <= 0:
-        raise ConfigError(f"grad_check step must be positive, got {step}")
-    params = list(params)
-    for p in params:
-        p.zero_grad()
-    backward(f())
-    analytic = {p.name: p.grad.copy() for p in params}
-
-    report = {}
-    for p in params:
-        base = p.value.data.copy()
-        numeric = np.zeros_like(base)
-        flat = base.reshape(-1)
-        num_flat = numeric.reshape(-1)
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + step
-            p.assign(base)
-            f_plus = f().item()
-            flat[i] = saved - step
-            p.assign(base)
-            f_minus = f().item()
-            flat[i] = saved
-            num_flat[i] = (f_plus - f_minus) / (2.0 * step)
-        p.assign(base)
-        a = analytic[p.name]
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-3)
-        report[p.name] = float(np.max(np.abs(a - numeric) / denom)) if a.size else 0.0
-    return GradCheckReport(report, tol)

@@ -32,7 +32,7 @@ from .config import (
     dump_config,
     load_config,
 )
-from .errors import ConfigError, ContractError, NanLossError, ParseError, ValidationError
+from .errors import ConfigError, ContractError, NanLossError, ValidationError
 from .evaluation import write_report
 from .longterm import STRATEGIES, AggregationWeights, WindowingConfig
 from .rng import RngStream
@@ -199,59 +199,33 @@ def cmd_eval(args) -> int:
         raise ConfigError(
             f"checkpoint was trained with variant {model_cfg.variant!r}, not {args.variant!r}"
         )
-    supports = []
+    fusions = []  # (report name, windowing, weights, strategy)
     for support in support_seconds:
         windowing = WindowingConfig.from_support(
             support, cfg.windowing.t_before, cfg.windowing.t_after, cfg.windowing.stride
         )
-        supports.append((support, windowing, _weights_for(state, windowing, model_cfg)))
-    strategy_weights = (_weights_for(state, cfg.windowing, model_cfg)
-                        if "weighted" in (args.strategy or []) else None)
+        fusions.append((f"support_{support:g}s", windowing,
+                        _weights_for(state, windowing, model_cfg), "weighted"))
+    for strategy in args.strategy or []:
+        weights = (_weights_for(state, cfg.windowing, model_cfg)
+                   if strategy == "weighted" else None)
+        fusions.append((f"strategy_{strategy}", cfg.windowing, weights, strategy))
+    samplings = [(f"sampling_tau_{tau:g}", "threshold", tau) for tau in taus]
+    if args.topk or not (taus or fusions):
+        samplings.append(("sampling_topk", "topk", 0.0))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     clips = dataset.eval
     ran = []
-
-    thresholds = taus
-    if args.topk:
-        thresholds = thresholds + ["topk"]
-    if not thresholds and not args.support and not args.strategy:
-        thresholds = ["topk"]
-    for tau in thresholds:
-        if tau == "topk":
-            report = evaluate_short_term(
-                state.params, model_cfg, clips, scenario, cfg.windowing,
-                proposal_mode="topk",
-            )
-            name = "sampling_topk"
-        else:
-            report = evaluate_short_term(
-                state.params, model_cfg, clips, scenario, cfg.windowing,
-                proposal_mode="threshold", proposal_tau=tau,
-            )
-            name = f"sampling_tau_{tau:g}"
+    for name, mode, tau in samplings:
+        report = evaluate_short_term(state.params, model_cfg, clips, scenario, cfg.windowing,
+                                     proposal_mode=mode, proposal_tau=tau)
         write_report(report, out, name)
         ran.append((name, report.mean_ap))
-
-    for support, windowing, weights in supports:
-        windowed = [
-            run_windowed(state.params, model_cfg, c, windowing, scenario.grid_t) for c in clips
-        ]
-        report = evaluate_longterm(windowed, scenario, weights)
-        name = f"support_{support:g}s"
-        write_report(report, out, name)
-        ran.append((name, report.mean_ap))
-
-    for strategy in args.strategy or []:
-        windowed = [
-            run_windowed(state.params, model_cfg, c, cfg.windowing, scenario.grid_t)
-            for c in clips
-        ]
-        weights = strategy_weights if strategy == "weighted" else None
-        report = evaluate_longterm(
-            windowed, scenario, weights, strategy=strategy, topk=args.topk_k
-        )
-        name = f"strategy_{strategy}"
+    for name, windowing, weights, strategy in fusions:
+        windowed = [run_windowed(state.params, model_cfg, c, windowing) for c in clips]
+        report = evaluate_longterm(windowed, scenario, weights, strategy=strategy,
+                                   topk=args.topk_k)
         write_report(report, out, name)
         ran.append((name, report.mean_ap))
 
@@ -286,12 +260,11 @@ def cmd_inspect(args) -> int:
     actor-to-scene cross-attention, keys numbering the scene tokens from 0.
     """
     dataset, cfg = _load_dataset_dir(args.dataset)
-    state, model_cfg, scenario = _load_checkpoint(args.checkpoint, cfg, args.dataset)
+    state, model_cfg, _scenario = _load_checkpoint(args.checkpoint, cfg, args.dataset)
     clip = dataset.clip(args.clip)
     sink: list = []
     with ad.no_grad():
-        grid = keyframe_grid(clip, cfg.windowing.t_before, cfg.windowing.t_after,
-                             scenario.grid_t)
+        grid = keyframe_grid(clip, cfg.windowing.t_before, cfg.windowing.t_after)
         mdl.forward_actions(
             state.params, model_cfg, clip.proposals, grid, RngStream(0),
             training=False, attn_sink=sink,
@@ -362,7 +335,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValidationError, ParseError, ContractError) as exc:
+    except (ConfigError, ValidationError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NanLossError as exc:

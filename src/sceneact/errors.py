@@ -13,10 +13,6 @@ class ContractError(ValueError):
     """An API precondition was violated by the caller."""
 
 
-class ParseError(ValueError):
-    """A file could not be parsed; message carries the line number."""
-
-
 class ValidationError(ValueError):
     """Parsed data violates a documented invariant."""
 

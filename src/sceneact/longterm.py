@@ -164,7 +164,6 @@ def run_windowed(
     cfg: mdl.ModelConfig,
     clip: ClipSample,
     windowing: WindowingConfig,
-    grid_t: int,
 ) -> WindowedScores:
     """Inference over every window; boxes and proposals stay the keyframe's.
 
@@ -172,7 +171,7 @@ def run_windowed(
     the forwards run through ``map_on_pool``. Each window runs the same ops
     as a serial loop, so the scores are bit-identical to one.
     """
-    jobs = [(params, cfg, clip.proposals, window_grid(clip, interval, grid_t))
+    jobs = [(params, cfg, clip.proposals, window_grid(clip, interval))
             for _n, interval in windows(windowing, clip.keyframe_time)]
     # no_grad is process-wide: entered once here, it covers every worker
     with ad.no_grad():
@@ -205,12 +204,7 @@ def _strategy_weights(scores: np.ndarray, strategy: str, weights: AggregationWei
     # indicator/k on the k largest values per (class, proposal) column
     order = np.argsort(-scores, axis=0, kind="stable")
     w = np.zeros_like(scores)
-    rows = order[:k]
-    cls_ix, prop_ix = np.meshgrid(
-        np.arange(scores.shape[1]), np.arange(scores.shape[2]), indexing="ij"
-    )
-    for r in rows:
-        w[r, cls_ix, prop_ix] = 1.0 / k
+    np.put_along_axis(w, order[:k], 1.0 / k, axis=0)
     return w
 
 
@@ -259,7 +253,6 @@ def precompute_windowed(
     cfg: mdl.ModelConfig,
     clips: list[ClipSample],
     windowing: WindowingConfig,
-    grid_t: int,
     loss_cfg: LossConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frozen-model pass: stacked window scores and padded truth, in matched order.
@@ -271,7 +264,7 @@ def precompute_windowed(
     """
     all_scores, all_targets = [], []
     for clip in clips:
-        ws = run_windowed(params, cfg, clip, windowing, grid_t)
+        ws = run_windowed(params, cfg, clip, windowing)
         sigma, targets = matched_targets(ground_truth_set(clip, len(clip.proposals)),
                                          clip.proposals, loss_cfg)
         all_scores.append(ws.scores[:, :, list(sigma)])
@@ -284,7 +277,6 @@ def train_aggregation(
     cfg: mdl.ModelConfig,
     clips: list[ClipSample],
     windowing: WindowingConfig,
-    grid_t: int,
     loss_cfg: LossConfig,
     lr: float = 1e-2,
     epochs: int = 150,
@@ -303,7 +295,7 @@ def train_aggregation(
     from .training import AdamW
 
     before = params_hash({p.name: p.value.data for p in params.parameters()})
-    scores, targets = precompute_windowed(params, cfg, clips, windowing, grid_t, loss_cfg)
+    scores, targets = precompute_windowed(params, cfg, clips, windowing, loss_cfg)
     init = AggregationWeights.initial(windowing, cfg.num_classes)
     weight_param = ad.Parameter("aggregation.weights", init.weights)
     opt = AdamW([weight_param], lr=lr)

@@ -29,10 +29,6 @@ The unified stack's last block queries with the K actor rows, the only
 rows the head reads; its keys and values still cover all K + N tokens.
 This is exact: all but keys and values is row-wise, and Philox fills in C
 order, so a (K, ...) dropout mask is the first K rows of the (K + N, ...) one.
-
-Zeroing every residual-branch output layer (attention output projection
-and second MLP layer) makes each stack an exact identity, which is the
-initialization sanity check used by the tests.
 """
 
 from __future__ import annotations
@@ -198,14 +194,6 @@ def init_params(
     for name in made:
         params.register(made[name])
     return params
-
-
-def zero_residual_projections(params: ModelParams):
-    """Zero every residual-branch output layer; the stacks become identities."""
-    for blk in params.blocks + params.scene_blocks:
-        outputs = [p for _, _, attn in blk.attns for p in (attn.wo, attn.bo)]
-        for p in outputs + [blk.w2, blk.b2]:
-            p.assign(np.zeros(p.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,12 @@ import csv
 import functools
 import logging
 import math
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .boxes import BoundingBox, GeometryVector, geometry_vector, sanitize_box
-from .errors import ConfigError, ContractError, ParseError, ValidationError
+from .errors import ConfigError, ContractError, ValidationError
 from .matching import GroundTruthSet
 from .rng import RngStream
 
@@ -49,6 +48,8 @@ MIN_SEPARATION = 0.25
 BOX_SIZE_RANGE = (0.10, 0.20)
 APPEARANCE_PROTOTYPES = 8
 TIMELINE_EXTENT = 8  # whole seconds covered on each side of the keyframe
+GRID_H, GRID_W, GRID_T = 8, 8, 4  # scene grid rows, columns and time samples per window
+SCENE_DIM = 32  # scene token length C'; bounds num_classes (one orthonormal signature each)
 
 
 @dataclass(frozen=True)
@@ -58,18 +59,14 @@ class ScenarioConfig:
     Detector quality, scene signal strength and the action mix are
     settable. The world's fixed shape (action spans, pair and object
     odds, actor spacing, box sizes, appearance prototypes, timeline
-    extent, detector confidence floor) is set by the module constants
-    above.
+    extent, scene grid shape, scene token length, detector confidence
+    floor) is set by the module constants above.
     """
 
     seed: int = 0
     num_actors: tuple[int, int] = (1, 2)
     num_classes: int = 12
     actor_dim: int = 32  # detector feature length C
-    scene_dim: int = 32  # scene token length C'
-    grid_h: int = 8
-    grid_w: int = 8
-    grid_t: int = 4
     proposal_count: int = 10  # K
     box_jitter: float = 0.003
     false_positive_rate: float = 0.3
@@ -85,10 +82,12 @@ class ScenarioConfig:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ConfigError(f"{name} must lie in [0, 1], got {v}")
-        for name in ("num_classes", "actor_dim", "scene_dim", "grid_h", "grid_w",
-                     "grid_t", "proposal_count"):
+        for name in ("num_classes", "actor_dim", "proposal_count"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if self.num_classes > SCENE_DIM:
+            raise ConfigError(f"num_classes {self.num_classes} exceeds the scene token "
+                              f"length {SCENE_DIM}, one orthonormal signature per class")
         if self.num_classes % len(CATEGORIES) != 0:
             raise ConfigError(
                 f"num_classes must split evenly over {len(CATEGORIES)} categories"
@@ -173,12 +172,10 @@ def category_map(num_classes: int) -> dict[int, str]:
 
 
 @functools.lru_cache(maxsize=8)
-def signature_bank(seed: int, num_classes: int, scene_dim: int) -> np.ndarray:
+def signature_bank(seed: int, num_classes: int) -> np.ndarray:
     """Fixed orthonormal signature per class, derived from the dataset seed."""
-    if num_classes > scene_dim:
-        raise ConfigError("need scene_dim >= num_classes for orthonormal signatures")
     gen = RngStream(seed).child_named("signatures").generator()
-    raw = gen.standard_normal((scene_dim, scene_dim))
+    raw = gen.standard_normal((SCENE_DIM, SCENE_DIM))
     q, _ = np.linalg.qr(raw)
     return q[:, :num_classes].T.copy()  # (num_classes, C')
 
@@ -208,9 +205,9 @@ def appearance_bank(seed: int, actor_dim: int) -> np.ndarray:
     return bank / np.linalg.norm(bank, axis=1, keepdims=True)
 
 
-def _cell_of(cfg: ScenarioConfig, x: float, y: float) -> tuple[int, int]:
-    row = min(int(y * cfg.grid_h), cfg.grid_h - 1)
-    col = min(int(x * cfg.grid_w), cfg.grid_w - 1)
+def _cell_of(x: float, y: float) -> tuple[int, int]:
+    row = min(int(y * GRID_H), GRID_H - 1)
+    col = min(int(x * GRID_W), GRID_W - 1)
     return row, col
 
 
@@ -235,8 +232,8 @@ def _place_actors(cfg: ScenarioConfig, gen: np.random.Generator):
     pairs: list[tuple[int, int]] = []
 
     def cells_ok(center, others):
-        cell = _cell_of(cfg, *center)
-        return all(_cheb(cell, _cell_of(cfg, *o.center)) >= 2 for o in others)
+        cell = _cell_of(*center)
+        return all(_cheb(cell, _cell_of(*o.center)) >= 2 for o in others)
 
     if want_pair:
         for _attempt in range(500):
@@ -251,8 +248,8 @@ def _place_actors(cfg: ScenarioConfig, gen: np.random.Generator):
             h = gen.uniform(*BOX_SIZE_RANGE)
             b = sanitize_box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
             b = BoundingBox(*(_round6(c) for c in b.corners()))
-            ca, cb = _cell_of(cfg, *a.center), _cell_of(cfg, *b.center)
-            mid = _cell_of(cfg, 0.5 * (a.center[0] + b.center[0]),
+            ca, cb = _cell_of(*a.center), _cell_of(*b.center)
+            mid = _cell_of(0.5 * (a.center[0] + b.center[0]),
                            0.5 * (a.center[1] + b.center[1]))
             if _cheb(ca, cb) >= 2 and _cheb(mid, ca) <= 1 and _cheb(mid, cb) <= 1:
                 boxes.extend([a, b])
@@ -287,7 +284,7 @@ def generate_clip(cfg: ScenarioConfig, rng: RngStream, clip_id: str = "clip",
     g_world = rng.child(0).generator()
     g_scene = rng.child(1).generator()
     g_det = rng.child(2).generator()
-    signatures = signature_bank(cfg.seed, cfg.num_classes, cfg.scene_dim)
+    signatures = signature_bank(cfg.seed, cfg.num_classes)
     per = cfg.num_classes // len(CATEGORIES)
 
     boxes, pairs = _place_actors(cfg, g_world)
@@ -309,17 +306,17 @@ def generate_clip(cfg: ScenarioConfig, rng: RngStream, clip_id: str = "clip",
             labels[a, class_id] = 1.0
 
     for i, box in enumerate(boxes):
-        center_cell = _cell_of(cfg, *box.center)
+        center_cell = _cell_of(*box.center)
         add_instance(int(g_world.integers(0, per)), (i,), (center_cell,))
         if g_world.random() < OBJECT_PROBABILITY:
             add_instance(int(g_world.integers(2 * per, 3 * per)), (i,), (center_cell,))
     for i, j in pairs:
         ci, cj = boxes[i].center, boxes[j].center
-        mid_cell = _cell_of(cfg, 0.5 * (ci[0] + cj[0]), 0.5 * (ci[1] + cj[1]))
+        mid_cell = _cell_of(0.5 * (ci[0] + cj[0]), 0.5 * (ci[1] + cj[1]))
         add_instance(int(g_world.integers(per, 2 * per)), (i, j), (mid_cell,))
 
     offsets = np.arange(-TIMELINE_EXTENT, TIMELINE_EXTENT + 1, dtype=np.float64)
-    timeline = g_scene.standard_normal((len(offsets), cfg.grid_h, cfg.grid_w, cfg.scene_dim))
+    timeline = g_scene.standard_normal((len(offsets), GRID_H, GRID_W, SCENE_DIM))
     timeline *= cfg.scene_noise
     for inst in instances:
         active = (offsets >= inst.start) & (offsets <= inst.end)
@@ -404,18 +401,17 @@ def ground_truth_set(clip: ClipSample, k: int) -> GroundTruthSet:
 # windows over the timeline
 
 
-def window_grid(clip: ClipSample, interval: tuple[float, float],
-                grid_t: int) -> SceneContextGrid:
+def window_grid(clip: ClipSample, interval: tuple[float, float]) -> SceneContextGrid:
     """Assemble a grid for an absolute time interval from the clip timeline.
 
-    Sample times are the grid_t sub-interval midpoints, each snapped to
+    Sample times are the ``GRID_T`` sub-interval midpoints, each snapped to
     the nearest stored per-second slice; times outside the timeline are
     clamped to its bounds (with a log note).
     """
     start, stop = interval
     rel_times = [
-        start - clip.keyframe_time + (q + 0.5) * (stop - start) / grid_t
-        for q in range(grid_t)
+        start - clip.keyframe_time + (q + 0.5) * (stop - start) / GRID_T
+        for q in range(GRID_T)
     ]
     lo, hi = clip.timeline_offsets[0], clip.timeline_offsets[-1]
     slices = []
@@ -429,15 +425,13 @@ def window_grid(clip: ClipSample, interval: tuple[float, float],
     if clamped:
         log.info("clip %s: window %s clamped to timeline bounds", clip.clip_id, interval)
     stacked = np.stack(slices)  # (T, H, W, C')
-    h, w = stacked.shape[1], stacked.shape[2]
-    features = stacked.reshape(grid_t * h * w, -1).T  # t-major, then row, then column
-    return SceneContextGrid(h, w, grid_t, features)
+    features = stacked.reshape(GRID_T * GRID_H * GRID_W, -1).T  # t-major, then row, then column
+    return SceneContextGrid(GRID_H, GRID_W, GRID_T, features)
 
 
-def keyframe_grid(clip: ClipSample, t_before: float, t_after: float,
-                  grid_t: int) -> SceneContextGrid:
+def keyframe_grid(clip: ClipSample, t_before: float, t_after: float) -> SceneContextGrid:
     t = clip.keyframe_time
-    return window_grid(clip, (t - t_before, t + t_after), grid_t)
+    return window_grid(clip, (t - t_before, t + t_after))
 
 
 def temporal_augment(clip: ClipSample, delta_range: float, rng: RngStream) -> ClipSample:
@@ -491,11 +485,11 @@ def generate_dataset(cfg: ScenarioConfig, with_train: bool = True) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# annotation / prediction interchange (CSV)
+# ground-truth annotations (CSV)
 
 
-def _format_row(clip_id, timestamp, box, class_id, score=None) -> list[str]:
-    row = [
+def _format_row(clip_id, timestamp, box, class_id) -> list[str]:
+    return [
         str(clip_id),
         f"{timestamp:.6f}",
         f"{box.x_lt:.6f}",
@@ -504,9 +498,6 @@ def _format_row(clip_id, timestamp, box, class_id, score=None) -> list[str]:
         f"{box.y_rb:.6f}",
         str(int(class_id)),
     ]
-    if score is not None:
-        row.append(repr(float(score)))
-    return row
 
 
 def write_annotations(path, records):
@@ -517,106 +508,8 @@ def write_annotations(path, records):
             writer.writerow(_format_row(clip_id, timestamp, box, class_id))
 
 
-def write_predictions(path, records):
-    """records: iterables of (clip_id, timestamp, BoundingBox, class_id, score)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for clip_id, timestamp, box, class_id, score in records:
-            writer.writerow(_format_row(clip_id, timestamp, box, class_id, score))
-
-
-def _parse_rows(path, want_score: bool):
-    out = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            expect = 8 if want_score else 7
-            if len(row) != expect:
-                raise ParseError(f"{path}:{lineno}: expected {expect} fields, got {len(row)}")
-            try:
-                timestamp = float(row[1])
-                coords = [float(v) for v in row[2:6]]
-                class_id = int(row[6])
-                score = float(row[7]) if want_score else None
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            if not all(0.0 <= c <= 1.0 for c in coords):
-                raise ValidationError(f"{path}:{lineno}: coordinates outside [0, 1]")
-            try:
-                box = BoundingBox(*coords)
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-            record = (row[0], timestamp, box, class_id)
-            out.append(record + ((score,) if want_score else ()))
-    return out
-
-
-def read_annotations(path) -> list[tuple]:
-    """Parse ground-truth rows (clip_id, timestamp, box, class_id)."""
-    return _parse_rows(path, want_score=False)
-
-
-def read_predictions(path) -> list[tuple]:
-    """Parse prediction rows (clip_id, timestamp, box, class_id, score)."""
-    return _parse_rows(path, want_score=True)
-
-
 def annotation_records(clips: list[ClipSample]):
     for clip in clips:
         for i, box in enumerate(clip.truth.boxes):
             for k in np.flatnonzero(clip.truth.labels[i]):
                 yield clip.clip_id, clip.keyframe_time, box, int(k)
-
-
-# ---------------------------------------------------------------------------
-# dataset solvability probes (non-learned)
-
-
-def oracle_scene_detections(clip: ClipSample, cfg: ScenarioConfig,
-                            t_before: float, t_after: float):
-    """Score ground-truth boxes by correlating scene tokens with signatures.
-
-    Reads the keyframe window at each actor's own cell (pose and object
-    classes) and at midpoints to nearby partners (pair classes). This is
-    the non-learned ceiling establishing the dataset is solvable.
-    """
-    signatures = signature_bank(cfg.seed, cfg.num_classes, cfg.scene_dim)
-    grid = keyframe_grid(clip, t_before, t_after, cfg.grid_t)
-    per = cfg.num_classes // len(CATEGORIES)
-    centers = [b.center for b in clip.truth.boxes]
-    for i, box in enumerate(clip.truth.boxes):
-        own = _cell_of(cfg, *centers[i])
-        mids = [
-            _cell_of(cfg, 0.5 * (centers[i][0] + centers[j][0]),
-                     0.5 * (centers[i][1] + centers[j][1]))
-            for j in range(len(centers))
-            if j != i and math.dist(centers[i], centers[j]) <= PAIR_DISTANCE_MAX
-        ]
-        for k in range(cfg.num_classes):
-            cells = mids if per <= k < 2 * per else [own]
-            best = -np.inf
-            for row, col in cells:
-                for t in range(cfg.grid_t):
-                    token = grid.features[:, grid.token_index(t, row, col)]
-                    best = max(best, float(token @ signatures[k]))
-            if best == -np.inf:
-                best = 0.0
-            yield clip.clip_id, clip.keyframe_time, box, k, best
-
-
-def appearance_knn_detections(train_clips: list[ClipSample], clip: ClipSample,
-                              num_classes: int):
-    """Score classes from actor appearance alone (nearest neighbours).
-
-    Appearance carries no action information by construction, so this
-    probe bounds how much a scene-blind model could leak.
-    """
-    bank = np.concatenate([c.truth.appearances for c in train_clips])
-    bank_labels = np.concatenate([c.truth.labels for c in train_clips])
-    for i, box in enumerate(clip.truth.boxes):
-        sims = bank @ clip.truth.appearances[i]
-        order = np.argsort(-sims)[:5]
-        scores = bank_labels[order].mean(axis=0)
-        for k in range(num_classes):
-            yield clip.clip_id, clip.keyframe_time, box, k, float(scores[k])

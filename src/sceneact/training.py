@@ -42,6 +42,7 @@ from .matching import LossConfig, matched_targets, set_loss
 from .model import ModelConfig, ModelParams, init_params
 from .rng import RngStream
 from .synthdata import (
+    SCENE_DIM,
     ClipSample,
     Dataset,
     ScenarioConfig,
@@ -179,8 +180,7 @@ def evaluate_short_term(
             clip.detections, scenario.proposal_count, mode=proposal_mode,
             tau=proposal_tau, actor_dim=scenario.actor_dim,
         )
-        grid = (keyframe_grid(clip, windowing.t_before, windowing.t_after, scenario.grid_t)
-                if use_scene else None)
+        grid = keyframe_grid(clip, windowing.t_before, windowing.t_after) if use_scene else None
         jobs.append((params, cfg, proposals, grid))
     with ad.no_grad():  # entered once here, it covers every worker
         scores = map_on_pool(action_scores, jobs)
@@ -254,8 +254,7 @@ def train_short_term(
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     if state is None:
-        params = init_params(model_cfg, scenario.actor_dim, scenario.scene_dim,
-                             rng.child_named("init"))
+        params = init_params(model_cfg, scenario.actor_dim, SCENE_DIM, rng.child_named("init"))
         opt = AdamW(params.parameters(), lr=opt_cfg.lr, weight_decay=opt_cfg.weight_decay)
         state = TrainState(params, opt)
     params, opt = state.params, state.optimizer
@@ -278,11 +277,8 @@ def train_short_term(
                     clip, AUGMENT_RANGE,
                     rng.child_named("aug").child(epoch, state.step, j),
                 )
-                grid = (
-                    keyframe_grid(aug, windowing.t_before, windowing.t_after, scenario.grid_t)
-                    if use_scene
-                    else None
-                )
+                grid = (keyframe_grid(aug, windowing.t_before, windowing.t_after)
+                        if use_scene else None)
                 jobs.append((params, model_cfg, loss_cfg, clip, grid, targets[i],
                              rng.child_named("dropout").child(epoch, state.step, j), clip_weight))
             results = map_on_pool(_clip_loss_and_gradients, jobs)
@@ -347,13 +343,10 @@ def train_long_term(
     scenario = dataset.cfg
     # train_aggregation raises if the frozen parameters drift
     weights = train_aggregation(
-        params, model_cfg, dataset.train, windowing, scenario.grid_t, loss_cfg,
+        params, model_cfg, dataset.train, windowing, loss_cfg,
         epochs=opt_cfg.aggregation_epochs,
     )
-    windowed = [
-        run_windowed(params, model_cfg, clip, windowing, scenario.grid_t)
-        for clip in dataset.eval
-    ]
+    windowed = [run_windowed(params, model_cfg, clip, windowing) for clip in dataset.eval]
     short = evaluate_longterm(
         windowed, scenario, AggregationWeights.initial(windowing, model_cfg.num_classes)
     )
@@ -396,7 +389,7 @@ def load_train_state(path, opt_cfg: OptimizerConfig) -> tuple[TrainState, ModelC
     sections, meta = load_checkpoint(path)
     model_cfg = _cfg_from_meta(ModelConfig, meta, "model", path)
     scenario = _cfg_from_meta(ScenarioConfig, meta, "scenario", path)
-    params = init_params(model_cfg, scenario.actor_dim, scenario.scene_dim, RngStream(0))
+    params = init_params(model_cfg, scenario.actor_dim, SCENE_DIM, RngStream(0))
     for p in params.parameters():
         p.assign(sections["model"][p.name])
     opt = AdamW(params.parameters(), lr=opt_cfg.lr, weight_decay=opt_cfg.weight_decay)

@@ -6,6 +6,7 @@ import pytest
 from sceneact import autodiff as ad
 from sceneact.errors import ConfigError, ContractError, DimensionError
 from sceneact.rng import RngStream
+from testkit import grad_check
 
 
 def rand(shape, seed=0, lo=-2.0, hi=2.0):
@@ -174,13 +175,13 @@ class TestGradCheck:
             x = ad.reshape(p.value, (1, 4))
             return ad.reduce_sum(ad.matmul(x, ad.transpose(x)))
 
-        report = ad.grad_check(f, [p], step=1e-5, tol=1e-8)
+        report = grad_check(f, [p], step=1e-5, tol=1e-8)
         assert report.passed
 
     def test_linear_is_exact(self):
         # central differences of a linear map carry only rounding noise
         p = ad.Parameter("lin", rand((5,), 11))
-        report = ad.grad_check(lambda: ad.reduce_sum(ad.scale(p.value, 3.0)), [p], tol=1e-10)
+        report = grad_check(lambda: ad.reduce_sum(ad.scale(p.value, 3.0)), [p], tol=1e-10)
         assert report.passed
 
     def test_composite_ops(self):
@@ -201,7 +202,7 @@ class TestGradCheck:
             h = ad.focal_from_logits(h, targets, 0.25, 2.0)
             return ad.reduce_sum(h)
 
-        report = ad.grad_check(f, [w, gain, bias], step=1e-5, tol=1e-4)
+        report = grad_check(f, [w, gain, bias], step=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_err
 
     def test_structural_ops(self):
@@ -218,7 +219,7 @@ class TestGradCheck:
             sliced = ad.narrow(picked, 1, 0, 2)
             return ad.reduce_sum(ad.gelu(sliced))
 
-        report = ad.grad_check(f, [a, b, v], step=1e-5, tol=1e-4)
+        report = grad_check(f, [a, b, v], step=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_err
 
     def test_logit_gradient_inside_and_at_clamp(self):
@@ -228,7 +229,7 @@ class TestGradCheck:
         def f():
             return ad.reduce_sum(ad.logit(p.value, eps=1e-3))
 
-        report = ad.grad_check(f, [p], step=1e-6, tol=1e-4)
+        report = grad_check(f, [p], step=1e-6, tol=1e-4)
         assert report.passed, report.max_rel_err
         # grad_check leaves a fresh leaf behind, so take the gradient anew:
         # the clamped entries (0 and 1.2) receive none, the others 1 / (p (1 - p))
@@ -347,7 +348,7 @@ class TestWindowSum:
             return ad.reduce_sum(ad.focal_from_logits(ad.window_sum(scores, w.value),
                                                       targets, 0.25, 2.0))
 
-        report = ad.grad_check(f, [w], step=1e-5, tol=1e-4)
+        report = grad_check(f, [w], step=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_err
 
     def test_shape_mismatch_rejected(self):
@@ -476,7 +477,7 @@ class TestFusedOps:
             out = ad.attention(xq.value, k, ad.gelu(xkv.value), 2, 0.5, RngStream(31), training)
             return ad.reduce_sum(ad.gelu(out))
 
-        report = ad.grad_check(f, [xq, xkv, w, b], step=1e-5, tol=1e-4)
+        report = grad_check(f, [xq, xkv, w, b], step=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_err
 
     def test_shapes_checked(self):

@@ -51,6 +51,7 @@ REMOVED_KEYS = [("scenario", k) for k in (
     "confidence_calibration", "momentary_span", "sustained_span", "object_probability",
     "pair_probability", "pair_distance_max", "min_separation", "box_size_range",
     "appearance_prototypes", "appearance_noise", "timeline_extent",
+    "scene_dim", "grid_h", "grid_w", "grid_t",
 )] + [("optimizer", k) for k in (
     "beta1", "beta2", "eps", "clip_norm", "augment_range", "aggregation_lr",
 )] + [("loss", k) for k in ("cost_mode", "lambda_l1", "lambda_giou")]
@@ -141,6 +142,14 @@ class TestGenerate:
 
     def test_model_scenario_class_mismatch_exits_1(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, dict(TINY, model=dict(TINY["model"], num_classes=6)))
+        rc = main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "d")])
+        assert rc == 1
+        assert "num_classes" in capsys.readouterr().err and not (tmp_path / "d").exists()
+
+    def test_more_classes_than_scene_token_length_exits_1(self, tmp_path, capsys):
+        # one orthonormal signature per class needs num_classes <= SCENE_DIM
+        cfg_path = write_config(tmp_path, {"seed": 3, "scenario": {"num_classes": 33},
+                                           "model": {"num_classes": 33}})
         rc = main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "d")])
         assert rc == 1
         assert "num_classes" in capsys.readouterr().err and not (tmp_path / "d").exists()
@@ -463,7 +472,7 @@ class TestTrainEvalInspect:
                      str(data_dir), "--clip", "eval_0000", "--attention", str(out_csv)]) == 0
         scenario = config_from_dict(enc_dec).scenario
         k = scenario.proposal_count
-        n = scenario.grid_h * scenario.grid_w * scenario.grid_t
+        n = synthdata.GRID_H * synthdata.GRID_W * synthdata.GRID_T
         queries, keys, sums = {}, {}, {}
         for r in csv.DictReader(out_csv.open()):
             head = (r["layer"], r["head"])

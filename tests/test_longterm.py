@@ -22,6 +22,7 @@ from sceneact.longterm import (
 from sceneact.matching import LossConfig, matched_targets, set_loss
 from sceneact.rng import RngStream
 from sceneact.synthdata import (
+    SCENE_DIM,
     ScenarioConfig,
     generate_clip,
     generate_dataset,
@@ -30,12 +31,13 @@ from sceneact.synthdata import (
     window_grid,
 )
 from sceneact.checkpoint import params_hash
+from testkit import grad_check
 
 
 def tiny_model(scenario, seed=3, layers=1, variant="unified"):
     cfg = mdl.ModelConfig(embed_dim=8, layers=layers, heads=2, ffn_dim=16, dropout=0.0,
                           variant=variant, num_classes=scenario.num_classes)
-    params = mdl.init_params(cfg, scenario.actor_dim, scenario.scene_dim, RngStream(seed))
+    params = mdl.init_params(cfg, scenario.actor_dim, SCENE_DIM, RngStream(seed))
     return cfg, params
 
 
@@ -160,8 +162,8 @@ class TestRunWindowed:
         cfg, params = tiny_model(scenario)
         clip = generate_clip(scenario, RngStream(900).child(0, 0), "c0", 0.0)
         single = WindowingConfig.short_term()
-        ws = run_windowed(params, cfg, clip, single, scenario.grid_t)
-        grid = keyframe_grid(clip, single.t_before, single.t_after, scenario.grid_t)
+        ws = run_windowed(params, cfg, clip, single)
+        grid = keyframe_grid(clip, single.t_before, single.t_after)
         with ad.no_grad():
             scores = longterm.action_scores(params, cfg, clip.proposals, grid)
         np.testing.assert_allclose(ws.scores[0], scores, atol=1e-12)
@@ -170,7 +172,7 @@ class TestRunWindowed:
         scenario = small_scenario(scene_noise=0.0, signature_magnitude=0.0)
         cfg, params = tiny_model(scenario)
         clip = generate_clip(scenario, RngStream(901).child(0, 0), "c1", 0.0)
-        ws = run_windowed(params, cfg, clip, WindowingConfig(), scenario.grid_t)
+        ws = run_windowed(params, cfg, clip, WindowingConfig())
         for n in range(1, ws.scores.shape[0]):
             np.testing.assert_allclose(ws.scores[n], ws.scores[0], atol=1e-12)
 
@@ -178,7 +180,7 @@ class TestRunWindowed:
         scenario = small_scenario(momentary_fraction=1.0)
         cfg, params = tiny_model(scenario)
         clip = generate_clip(scenario, RngStream(902).child(0, 1), "c2", 0.0)
-        ws = run_windowed(params, cfg, clip, WindowingConfig(), scenario.grid_t)
+        ws = run_windowed(params, cfg, clip, WindowingConfig())
         spread = np.abs(ws.scores - ws.scores[ws.offsets.index(0)]).max()
         assert spread > 1e-6
 
@@ -199,11 +201,11 @@ class TestParallelWindows:
         cfg, params = tiny_model(scenario, layers=2, variant=variant)
         clip = generate_clip(scenario, RngStream(903).child(0, 2), "c3", 0.0)
         windowing = WindowingConfig()
-        ws = run_windowed(params, cfg, clip, windowing, scenario.grid_t)
+        ws = run_windowed(params, cfg, clip, windowing)
         serial = []
         with ad.no_grad():
             for _n, interval in windows(windowing, clip.keyframe_time):
-                grid = window_grid(clip, interval, scenario.grid_t)
+                grid = window_grid(clip, interval)
                 logits = mdl.forward_actions(params, cfg, clip.proposals, grid, RngStream(0),
                                              training=False)
                 serial.append(ad._sigmoid(logits.data))
@@ -216,8 +218,8 @@ class TestParallelWindows:
         wrong = dataclasses.replace(clip.proposals[0], feature=np.zeros(scenario.actor_dim + 1))
         bad = dataclasses.replace(clip, proposals=[wrong, *clip.proposals[1:]])
         with pytest.raises(DimensionError, match="actor feature shape"):
-            run_windowed(params, cfg, bad, WindowingConfig(), scenario.grid_t)
-        grid = keyframe_grid(clip, 1.05, 1.05, scenario.grid_t)
+            run_windowed(params, cfg, bad, WindowingConfig())
+        grid = keyframe_grid(clip, 1.05, 1.05)
         logits = mdl.forward_actions(params, cfg, clip.proposals, grid, RngStream(1),
                                      training=True)
         assert logits.requires_grad
@@ -231,7 +233,7 @@ class TestAggregationTraining:
         ds = generate_dataset(scenario)
         wcfg = WindowingConfig(1.05, 1.05, 2.0, 2.0, 1.0)
         scores, targets = precompute_windowed(
-            params, cfg, ds.train[:2], wcfg, scenario.grid_t, loss_cfg
+            params, cfg, ds.train[:2], wcfg, loss_cfg
         )
         # Checked where every fit starts. At w = 0 every fused probability is
         # 0, the logit clamp holds everywhere and the tape gradient is zero
@@ -241,7 +243,7 @@ class TestAggregationTraining:
         def f():
             return aggregation_loss(w, scores, targets, loss_cfg)
 
-        report = ad.grad_check(f, [w], step=1e-5, tol=1e-4)
+        report = grad_check(f, [w], step=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_err
         # one plain gradient step moves against the gradient
         w.zero_grad()
@@ -258,7 +260,7 @@ class TestAggregationTraining:
         ds = generate_dataset(scenario)
         before = params_hash({p.name: p.value.data for p in params.parameters()})
         wcfg = WindowingConfig(1.05, 1.05, 2.0, 2.0, 1.0)
-        weights = train_aggregation(params, cfg, ds.train, wcfg, scenario.grid_t,
+        weights = train_aggregation(params, cfg, ds.train, wcfg,
                                     LossConfig(), lr=1e-2, epochs=5)
         after = params_hash({p.name: p.value.data for p in params.parameters()})
         assert before == after
@@ -271,7 +273,7 @@ class TestAggregationTraining:
         cfg, params = tiny_model(scenario)
         ds = generate_dataset(scenario)
         wcfg = WindowingConfig(1.05, 1.05, 2.0, 2.0, 1.0)
-        weights = train_aggregation(params, cfg, ds.train, wcfg, scenario.grid_t,
+        weights = train_aggregation(params, cfg, ds.train, wcfg,
                                     LossConfig(), lr=1e-2, epochs=5)
         assert np.all(weights.weights >= 0.0)
 
@@ -280,7 +282,7 @@ class TestAggregationTraining:
         cfg, params = tiny_model(scenario)
         ds = generate_dataset(scenario)
         single = WindowingConfig.short_term()
-        weights = train_aggregation(params, cfg, ds.train, single, scenario.grid_t,
+        weights = train_aggregation(params, cfg, ds.train, single,
                                     LossConfig(), lr=1e-2, epochs=30)
         assert weights.weights.shape[0] == 1
         assert np.all(weights.weights > 0.0)  # positive scaling keeps ranking intact
@@ -290,13 +292,13 @@ class TestAggregationTraining:
         cfg, params = tiny_model(scenario, layers=2)
         ds = generate_dataset(scenario)
         wcfg = WindowingConfig(1.05, 1.05, 4.0, 4.0, 1.0)
-        weights = train_aggregation(params, cfg, ds.train, wcfg, scenario.grid_t,
+        weights = train_aggregation(params, cfg, ds.train, wcfg,
                                     LossConfig(), lr=2e-2, epochs=60)
         mass = np.abs(weights.weights).sum(axis=1)
         assert int(np.argmax(mass)) == weights.offsets.index(0)
 
 
-def per_clip_loss(params, cfg, clips, wcfg, grid_t, loss_cfg, w):
+def per_clip_loss(params, cfg, clips, wcfg, loss_cfg, w):
     """Oracle: one windowed run, keyframe match and set loss per clip, averaged.
 
     The fused scores are built on the tape window by window and checked
@@ -305,7 +307,7 @@ def per_clip_loss(params, cfg, clips, wcfg, grid_t, loss_cfg, w):
     """
     total, sigmas = None, []
     for clip in clips:
-        ws = run_windowed(params, cfg, clip, wcfg, grid_t)
+        ws = run_windowed(params, cfg, clip, wcfg)
         sigma, targets = matched_targets(ground_truth_set(clip, len(clip.proposals)),
                                          clip.proposals, loss_cfg)
         sigmas.append(sigma)
@@ -330,8 +332,7 @@ class TestStackedAggregationLoss:
         self.loss_cfg = LossConfig()
 
     def stacked(self, clips, wcfg):
-        return precompute_windowed(self.params, self.cfg, clips, wcfg, self.scenario.grid_t,
-                                   self.loss_cfg)
+        return precompute_windowed(self.params, self.cfg, clips, wcfg, self.loss_cfg)
 
     def test_equals_per_clip_oracle_in_value_and_gradient(self):
         wcfg = WindowingConfig(1.05, 1.05, 2.0, 2.0, 1.0)
@@ -341,7 +342,7 @@ class TestStackedAggregationLoss:
         for start in (initial, rand):
             w = ad.Parameter("agg", start)
             oracle, sigmas = per_clip_loss(self.params, self.cfg, self.clips, wcfg,
-                                           self.scenario.grid_t, self.loss_cfg, w)
+                                           self.loss_cfg, w)
             ad.backward(oracle)
             g_oracle = w.grad.copy()
             w.zero_grad()

@@ -9,6 +9,7 @@ from sceneact.checkpoint import load_checkpoint, save_checkpoint
 from sceneact.errors import ConfigError, ContractError
 from sceneact.rng import RngStream
 from sceneact.synthdata import ActorProposal, SceneContextGrid
+from testkit import grad_check, zero_residual_projections
 
 
 def tiny_cfg(**kw):
@@ -130,7 +131,7 @@ class TestEncode:
         for variant in ("unified", "decoder_only", "encoder_decoder"):
             cfg = tiny_cfg(layers=3, variant=variant)
             params = mdl.init_params(cfg, 5, 6, RngStream(14))
-            mdl.zero_residual_projections(params)
+            zero_residual_projections(params)
             a = ad.Tensor(gen.standard_normal((8, 4)))
             v = ad.Tensor(gen.standard_normal((8, 7)))
             encode = mdl.encode if variant == "unified" else mdl.encode_variant
@@ -308,7 +309,7 @@ class TestActorRowLastBlock:
             logits = mdl.forward_actions(params, cfg, props, grid, RngStream(55), training=True)
             return ad.reduce_sum(ad.mul_rowvec(logits, loss_w))
 
-        report = ad.grad_check(f, params.parameters(), step=1e-5, tol=1e-4)
+        report = grad_check(f, params.parameters(), step=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_err
 
 
@@ -394,7 +395,7 @@ class TestEncoderDecoder:
             logits = mdl.forward_actions(params, cfg, props, grid, RngStream(64), training=True)
             return ad.reduce_sum(ad.mul_rowvec(logits, loss_w))
 
-        report = ad.grad_check(f, params.parameters(), step=1e-5, tol=1e-4)
+        report = grad_check(f, params.parameters(), step=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_err
 
 
@@ -524,7 +525,7 @@ class TestFullForwardGradient:
             sigma, targets = matched_targets(gts, props, lcfg)
             return set_loss(logits, sigma, targets, lcfg)
 
-        report = ad.grad_check(f, params.parameters(), step=1e-5, tol=1e-4)
+        report = grad_check(f, params.parameters(), step=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_err
 
     @pytest.mark.parametrize("variant", mdl.VARIANTS)

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from sceneact.boxes import BoundingBox, iou
-from sceneact.errors import ConfigError, ParseError, ValidationError
+from sceneact.errors import ConfigError, ValidationError
 from sceneact.evaluation import Detection, evaluate
 from sceneact.rng import RngStream
 from sceneact.synthdata import (
+    GRID_H,
+    GRID_T,
+    GRID_W,
+    SCENE_DIM,
     ActorProposal,
     ScenarioConfig,
-    appearance_knn_detections,
     annotation_records,
     category_map,
     dummy_proposal,
@@ -19,17 +22,19 @@ from sceneact.synthdata import (
     generate_dataset,
     ground_truth_set,
     keyframe_grid,
-    oracle_scene_detections,
-    read_annotations,
-    read_predictions,
     sample_proposals,
     signature_bank,
     temporal_augment,
     window_grid,
     write_annotations,
-    write_predictions,
 )
 from sceneact.training import ground_truth_boxes
+from testkit import (
+    ParseError,
+    appearance_knn_detections,
+    oracle_scene_detections,
+    read_annotations,
+)
 
 
 def small_cfg(**kw):
@@ -70,7 +75,7 @@ class TestGenerateClip:
     def test_signatures_planted_at_active_cells(self):
         cfg = small_cfg(scene_noise=0.0)
         clip = generate_clip(cfg, RngStream(4).child(2), "s", 0.0)
-        bank = signature_bank(cfg.seed, cfg.num_classes, cfg.scene_dim)
+        bank = signature_bank(cfg.seed, cfg.num_classes)
         slice0 = int(-clip.timeline_offsets[0])
         for inst in clip.truth.instances:
             row, col = inst.cells[0]
@@ -141,8 +146,8 @@ class TestWindows:
     def test_window_grid_shape_and_order(self):
         cfg = small_cfg()
         clip = generate_clip(cfg, RngStream(8).child(0), "w", 10.0)
-        grid = keyframe_grid(clip, 1.05, 1.05, cfg.grid_t)
-        assert grid.features.shape == (cfg.scene_dim, cfg.grid_h * cfg.grid_w * cfg.grid_t)
+        grid = keyframe_grid(clip, 1.05, 1.05)
+        assert grid.features.shape == (SCENE_DIM, GRID_H * GRID_W * GRID_T)
         # t-major flatten: token (t, r, c) comes from timeline slice near offset 0
         slice0 = int(-clip.timeline_offsets[0])
         tok = grid.features[:, grid.token_index(1, 3, 5)]
@@ -152,7 +157,7 @@ class TestWindows:
         cfg = small_cfg()
         clip = generate_clip(cfg, RngStream(9).child(0), "cl", 0.0)
         far = (clip.keyframe_time + 100.0, clip.keyframe_time + 102.0)
-        grid = window_grid(clip, far, cfg.grid_t)
+        grid = window_grid(clip, far)
         last = clip.timeline[-1]
         assert np.array_equal(grid.features[:, grid.token_index(0, 0, 0)], last[0, 0])
 
@@ -187,8 +192,8 @@ class TestWindows:
         cfg = small_cfg(momentary_fraction=0.0, scene_noise=0.0)
         clip = generate_clip(cfg, RngStream(16).child(0), "e", 0.0)
         shifted = dataclasses.replace(clip, time_offset=1.0)
-        grid = keyframe_grid(shifted, 1.05, 1.05, cfg.grid_t)
-        bank = signature_bank(cfg.seed, cfg.num_classes, cfg.scene_dim)
+        grid = keyframe_grid(shifted, 1.05, 1.05)
+        bank = signature_bank(cfg.seed, cfg.num_classes)
         inst = clip.truth.instances[0]
         row, col = inst.cells[0]
         tok = grid.features[:, grid.token_index(1, row, col)]
@@ -228,16 +233,6 @@ class TestCsvInterchange:
         write_annotations(path, records)
         back = read_annotations(path)
         assert back == records
-
-    def test_prediction_round_trip(self, tmp_path):
-        records = [
-            ("clip_a", 900.0, BoundingBox(0.1, 0.2, 0.3, 0.4), 3, 0.8125),
-            ("clip_a", 900.0, BoundingBox(0.1, 0.2, 0.3, 0.4), 5, 0.0123456789),
-            ("clip_b", 901.0, BoundingBox(0.5, 0.5, 0.75, 0.9), 0, 1.0),
-        ]
-        path = tmp_path / "pred.csv"
-        write_predictions(path, records)
-        assert read_predictions(path) == records
 
     def test_multilabel_box_emits_multiple_rows(self, tmp_path):
         path = tmp_path / "gt.csv"

@@ -16,7 +16,13 @@ from sceneact.errors import DimensionError
 from sceneact.longterm import WindowingConfig
 from sceneact.matching import LossConfig, matched_targets, set_loss
 from sceneact.rng import RngStream
-from sceneact.synthdata import ScenarioConfig, generate_dataset, ground_truth_set, keyframe_grid
+from sceneact.synthdata import (
+    SCENE_DIM,
+    ScenarioConfig,
+    generate_dataset,
+    ground_truth_set,
+    keyframe_grid,
+)
 from sceneact.training import (
     AdamW,
     OptimizerConfig,
@@ -101,7 +107,7 @@ class TestShortTermTraining:
     def test_zero_learning_rate_freezes_params(self, dataset):
         opt = opt_cfg(lr=1e-30, epochs=1)
         state = run(dataset, opt)
-        fresh = mdl.init_params(MODEL, SCENARIO.actor_dim, SCENARIO.scene_dim,
+        fresh = mdl.init_params(MODEL, SCENARIO.actor_dim, SCENE_DIM,
                                 RngStream(5).child_named("init"))
         for p, q in zip(state.params.parameters(), fresh.parameters()):
             np.testing.assert_allclose(p.value.data, q.value.data, atol=1e-20)
@@ -184,13 +190,13 @@ class TestSceneBlind:
     """``use_scene=False``, the actor-only ablation, never reads the scene timeline."""
 
     def test_predictions_ignore_timeline(self, dataset):
-        params = mdl.init_params(MODEL, SCENARIO.actor_dim, SCENARIO.scene_dim, RngStream(5))
+        params = mdl.init_params(MODEL, SCENARIO.actor_dim, SCENE_DIM, RngStream(5))
         clip = dataset.eval[0]
         noise = np.random.default_rng(0).standard_normal(clip.timeline.shape)
         other = dataclasses.replace(clip, timeline=noise)
 
         def scores(c, use_scene):
-            grid = (keyframe_grid(c, WINDOW.t_before, WINDOW.t_after, SCENARIO.grid_t)
+            grid = (keyframe_grid(c, WINDOW.t_before, WINDOW.t_after)
                     if use_scene else None)
             with ad.no_grad():
                 return longterm.action_scores(params, MODEL, c.proposals, grid)
@@ -284,11 +290,11 @@ class TestParallelStep:
         cfg = config_from_dict({})
         scenario = dataclasses.replace(cfg.scenario, train_clips=4, eval_clips=1)
         clips = generate_dataset(scenario).train
-        params = mdl.init_params(cfg.model, scenario.actor_dim, scenario.scene_dim,
+        params = mdl.init_params(cfg.model, scenario.actor_dim, SCENE_DIM,
                                  RngStream(7).child_named("init"))
         losses = []
         for j, clip in enumerate(clips):
-            grid = keyframe_grid(clip, 1.05, 1.05, scenario.grid_t)
+            grid = keyframe_grid(clip, 1.05, 1.05)
             logits = mdl.forward_actions(params, cfg.model, clip.proposals, grid,
                                          RngStream(7).child(j), training=True)
             sigma, targets = matched_targets(ground_truth_set(clip, len(clip.proposals)),
