@@ -51,21 +51,6 @@ class BoundingBox:
         return (self.x_lt, self.y_lt, self.x_rb, self.y_rb)
 
 
-@dataclass(frozen=True)
-class GeometryVector:
-    """Six numbers describing a box: corners plus width and height."""
-
-    x_lt: float
-    y_lt: float
-    x_rb: float
-    y_rb: float
-    w: float
-    h: float
-
-    def as_list(self) -> list[float]:
-        return [self.x_lt, self.y_lt, self.x_rb, self.y_rb, self.w, self.h]
-
-
 def sanitize_box(x_lt: float, y_lt: float, x_rb: float, y_rb: float) -> BoundingBox:
     """Clamp raw detector corners into [0, 1] and enforce a minimum side."""
     x1, x2 = sorted((min(max(x_lt, 0.0), 1.0), min(max(x_rb, 0.0), 1.0)))
@@ -113,6 +98,3 @@ def box_l1(a: BoundingBox, b: BoundingBox) -> float:
         + abs(a.y_rb - b.y_rb)
     )
 
-
-def geometry_vector(box: BoundingBox) -> GeometryVector:
-    return GeometryVector(box.x_lt, box.y_lt, box.x_rb, box.y_rb, box.width, box.height)

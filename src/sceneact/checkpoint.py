@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,10 @@ def save_checkpoint(path, sections: dict[str, dict[str, np.ndarray]], meta: dict
             offset += len(blob)
     header = {"format": FORMAT, "meta": meta or {}, "entries": entries}
     payload = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + b"".join(blobs)
-    Path(path).write_bytes(payload)
+    # a run killed mid-write leaves the temporary file, never a half-written checkpoint
+    tmp = Path(f"{path}.tmp")
+    tmp.write_bytes(payload)
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> tuple[dict[str, dict[str, np.ndarray]], dict]:
@@ -52,14 +56,21 @@ def load_checkpoint(path) -> tuple[dict[str, dict[str, np.ndarray]], dict]:
         raise ValidationError(f"unsupported checkpoint format {header.get('format')!r}")
     body = raw[nl + 1 :]
     sections: dict[str, dict[str, np.ndarray]] = {}
+    end = 0
     for entry in header["entries"]:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
+        end = max(end, start + 8 * count)
+        if end > len(body):
+            raise ValidationError(f"checkpoint {path} is truncated: {entry['section']}/"
+                                  f"{entry['name']} runs past the end of the file")
         data = np.frombuffer(body, dtype="<f8", count=count, offset=start)
         sections.setdefault(entry["section"], {})[entry["name"]] = (
             data.reshape(shape).astype(np.float64)
         )
+    if len(body) > end:
+        raise ValidationError(f"checkpoint {path} has {len(body) - end} bytes past its entries")
     return sections, header.get("meta", {})
 
 

@@ -95,7 +95,12 @@ def _load_dataset_dir(dataset_dir, config_path=None,
     manifest_path = Path(dataset_dir) / "manifest.json"
     if not manifest_path.exists():
         raise ConfigError(f"no manifest.json under {dataset_dir}")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{manifest_path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict) or "config" not in manifest:
+        raise ValidationError(f"{manifest_path} has no run config")
     cfg = config_from_dict(manifest["config"])
     if manifest.get("config_hash") != config_hash(cfg):
         raise ValidationError(f"manifest config hash mismatch in {dataset_dir}")

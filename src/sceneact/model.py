@@ -216,7 +216,7 @@ def sinusoidal_pe(n: int, d: int) -> np.ndarray:
 
 
 def embed_actors(proposals, params: ModelParams) -> Tensor:
-    """Columns E_a f + E_g g for each proposal, in the given order."""
+    """Columns E_a f + E_g g per proposal, in order; g is the box's corners, width, height."""
     c = params.actor_dim
     feats = []
     geoms = []
@@ -225,15 +225,15 @@ def embed_actors(proposals, params: ModelParams) -> Tensor:
         if f.shape != (c,):
             raise DimensionError(f"actor feature shape {f.shape}, expected ({c},)")
         feats.append(f)
-        geoms.append(p.geometry.as_list())
+        geoms.append([*p.box.corners(), p.box.width, p.box.height])
     f_a = Tensor(np.stack(feats, axis=1))  # (C, K)
     g = Tensor(np.array(geoms).T)  # (6, K)
     return ad.add(ad.matmul(params.actor_proj.value, f_a), ad.matmul(params.geom_proj.value, g))
 
 
-def embed_scene(grid, params: ModelParams) -> Tensor:
-    """Project flattened grid tokens and add the positional code."""
-    f_v = np.asarray(grid.features, dtype=np.float64)
+def embed_scene(grid: np.ndarray, params: ModelParams) -> Tensor:
+    """Project the (C', N) scene token matrix and add the positional code."""
+    f_v = np.asarray(grid, dtype=np.float64)
     if f_v.shape[0] != params.scene_dim:
         raise DimensionError(
             f"scene token length {f_v.shape[0]}, expected {params.scene_dim}"
@@ -357,15 +357,16 @@ def forward_actions(
     params: ModelParams,
     cfg: ModelConfig,
     proposals,
-    grid,
+    grid: np.ndarray | None,
     rng: RngStream,
     training: bool = False,
     attn_sink: list | None = None,
 ) -> Tensor:
     """Embed, relate and classify; returns (num_classes, K) logits on the tape.
 
-    ``grid`` may be None to run on actor tokens alone (scene-blind
-    ablation); the unified stack then sees only the K actor columns.
+    ``grid`` is ``synthdata.window_grid``'s (C', N) token matrix, or None to
+    run on actor tokens alone (scene-blind ablation); the unified stack then
+    sees only the K actor columns.
     """
     a = embed_actors(proposals, params)
     v = embed_scene(grid, params) if grid is not None else None

@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .boxes import BoundingBox, GeometryVector, geometry_vector, sanitize_box
-from .errors import ConfigError, ContractError, ValidationError
+from .boxes import BoundingBox, sanitize_box
+from .errors import ConfigError, ValidationError
 from .matching import GroundTruthSet
 from .rng import RngStream
 
@@ -105,25 +105,6 @@ class ActorProposal:
     box: BoundingBox
     person_score: float
     feature: np.ndarray  # (C,)
-    geometry: GeometryVector
-
-
-@dataclass
-class SceneContextGrid:
-    """Flattened H x W x T feature tokens; order is t-major, then row, then column."""
-
-    h: int
-    w: int
-    t: int
-    features: np.ndarray  # (C', N) with N = h * w * t
-
-    def __post_init__(self):
-        n = self.h * self.w * self.t
-        if self.features.shape[1] != n:
-            raise ContractError(f"grid features have {self.features.shape[1]} tokens, expected {n}")
-
-    def token_index(self, t: int, row: int, col: int) -> int:
-        return (t * self.h + row) * self.w + col
 
 
 @dataclass(frozen=True)
@@ -150,8 +131,7 @@ class ClipSample:
     keyframe_time: float
     detections: list[ActorProposal]  # raw synthetic detector output
     proposals: list[ActorProposal]  # densely sampled, padded to K
-    timeline_offsets: np.ndarray  # (S,) seconds relative to the keyframe
-    timeline: np.ndarray  # (S, H, W, C')
+    timeline: np.ndarray  # (2 * TIMELINE_EXTENT + 1, H, W, C'), one slice per second
     truth: ClipTruth
     time_offset: float = 0.0  # set by temporal augmentation
 
@@ -181,7 +161,7 @@ def signature_bank(seed: int, num_classes: int) -> np.ndarray:
 
 
 def dummy_proposal(actor_dim: int) -> ActorProposal:
-    return ActorProposal(DUMMY_BOX, 0.0, np.zeros(actor_dim), geometry_vector(DUMMY_BOX))
+    return ActorProposal(DUMMY_BOX, 0.0, np.zeros(actor_dim))
 
 
 def _round6(x: float) -> float:
@@ -331,36 +311,19 @@ def generate_clip(cfg: ScenarioConfig, rng: RngStream, clip_id: str = "clip",
         det_box = sanitize_box(*(c + j for c, j in zip(box.corners(), jitter)))
         det_box = BoundingBox(*(_round6(c) for c in det_box.corners()))
         score = g_det.uniform(CONFIDENCE_FLOOR, 0.98)
-        detections.append(
-            ActorProposal(det_box, _round6(score), appearances[i].copy(), geometry_vector(det_box))
-        )
+        detections.append(ActorProposal(det_box, _round6(score), appearances[i].copy()))
     free = max(0, cfg.proposal_count - len(detections))
     for _ in range(free):
         if g_det.random() < cfg.false_positive_rate:
             fp_box = _sample_box(g_det)
             feature = g_det.standard_normal(cfg.actor_dim)
             feature /= np.linalg.norm(feature)
-            detections.append(
-                ActorProposal(
-                    fp_box,
-                    _round6(g_det.uniform(0.05, 0.5)),
-                    feature,
-                    geometry_vector(fp_box),
-                )
-            )
+            detections.append(ActorProposal(fp_box, _round6(g_det.uniform(0.05, 0.5)), feature))
 
     proposals = sample_proposals(detections, cfg.proposal_count, mode="topk",
                                  actor_dim=cfg.actor_dim)
     truth = ClipTruth(boxes, labels, appearances, instances)
-    return ClipSample(
-        clip_id,
-        _round6(keyframe_time),
-        detections,
-        proposals,
-        offsets,
-        timeline,
-        truth,
-    )
+    return ClipSample(clip_id, _round6(keyframe_time), detections, proposals, timeline, truth)
 
 
 def sample_proposals(
@@ -401,35 +364,34 @@ def ground_truth_set(clip: ClipSample, k: int) -> GroundTruthSet:
 # windows over the timeline
 
 
-def window_grid(clip: ClipSample, interval: tuple[float, float]) -> SceneContextGrid:
-    """Assemble a grid for an absolute time interval from the clip timeline.
+def window_grid(clip: ClipSample, interval: tuple[float, float]) -> np.ndarray:
+    """Scene tokens for an absolute time interval: (SCENE_DIM, GRID_T * GRID_H * GRID_W).
 
     Sample times are the ``GRID_T`` sub-interval midpoints, each snapped to
-    the nearest stored per-second slice; times outside the timeline are
-    clamped to its bounds (with a log note).
+    the nearest stored per-second slice; times outside the timeline's
+    ``TIMELINE_EXTENT`` seconds on either side of the keyframe are clamped
+    to its bounds (with a log note). Tokens are t-major, then row, then
+    column: sample t, cell (row, col) is column ``(t * GRID_H + row) * GRID_W + col``.
     """
     start, stop = interval
     rel_times = [
         start - clip.keyframe_time + (q + 0.5) * (stop - start) / GRID_T
         for q in range(GRID_T)
     ]
-    lo, hi = clip.timeline_offsets[0], clip.timeline_offsets[-1]
     slices = []
     clamped = False
     for rt in rel_times:
         snapped = round(rt + clip.time_offset)
-        if snapped < lo or snapped > hi:
+        if abs(snapped) > TIMELINE_EXTENT:
             clamped = True
-            snapped = min(max(snapped, lo), hi)
-        slices.append(clip.timeline[int(snapped - lo)])
+            snapped = min(max(snapped, -TIMELINE_EXTENT), TIMELINE_EXTENT)
+        slices.append(clip.timeline[snapped + TIMELINE_EXTENT])
     if clamped:
         log.info("clip %s: window %s clamped to timeline bounds", clip.clip_id, interval)
-    stacked = np.stack(slices)  # (T, H, W, C')
-    features = stacked.reshape(GRID_T * GRID_H * GRID_W, -1).T  # t-major, then row, then column
-    return SceneContextGrid(GRID_H, GRID_W, GRID_T, features)
+    return np.stack(slices).reshape(GRID_T * GRID_H * GRID_W, -1).T  # (T, H, W, C') -> (C', N)
 
 
-def keyframe_grid(clip: ClipSample, t_before: float, t_after: float) -> SceneContextGrid:
+def keyframe_grid(clip: ClipSample, t_before: float, t_after: float) -> np.ndarray:
     t = clip.keyframe_time
     return window_grid(clip, (t - t_before, t + t_after))
 
@@ -440,10 +402,9 @@ def temporal_augment(clip: ClipSample, delta_range: float, rng: RngStream) -> Cl
         raise ConfigError(f"offset range must be nonnegative, got {delta_range}")
     if delta_range == 0.0:
         return clip
-    slack = float(clip.timeline_offsets[-1])
-    if delta_range > slack:
+    if delta_range > TIMELINE_EXTENT:
         raise ConfigError(
-            f"offset range {delta_range} exceeds timeline slack {slack}"
+            f"offset range {delta_range} exceeds the timeline's {TIMELINE_EXTENT} s of slack"
         )
     delta = rng.generator().uniform(-delta_range, delta_range)
     return replace(clip, time_offset=clip.time_offset + delta)

@@ -1,0 +1,66 @@
+"""Print one sha256 per artifact of a small end-to-end CLI run.
+
+Runs ``generate`` -> ``train`` -> ``train --phase long`` ->
+``eval --topk --threshold 0.5 --strategy weighted --strategy avg
+--strategy max`` -> ``inspect`` in a temporary directory, on a seed-7
+scenario of 40 train and 12 eval clips trained for 2 epochs, then prints
+``<sha256>  <path>`` for every file the run wrote, paths relative to the
+run directory. Two checkouts whose outputs should be byte-identical print
+identical lines.
+
+Usage, from the root of a checkout (it imports that checkout's ``src/``)::
+
+    python3 tests/artifact_digests.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from sceneact.cli import main  # noqa: E402
+
+CONFIG = {"seed": 7, "scenario": {"train_clips": 40, "eval_clips": 12},
+          "optimizer": {"epochs": 2}}
+
+
+def run(root: Path) -> None:
+    cfg = root / "config.json"
+    cfg.write_text(json.dumps(CONFIG))
+    data, short, long, evals = (str(root / d) for d in ("data", "short", "long", "eval"))
+    commands = [
+        ["generate", "--config", str(cfg), "--out", data],
+        ["train", "--dataset", data, "--out", short],
+        ["train", "--dataset", data, "--out", long, "--phase", "long",
+         "--checkpoint", f"{short}/best.ckpt"],
+        ["eval", "--dataset", data, "--checkpoint", f"{long}/longterm.ckpt", "--out", evals,
+         "--topk", "--threshold", "0.5",
+         "--strategy", "weighted", "--strategy", "avg", "--strategy", "max"],
+        ["inspect", "--dataset", data, "--checkpoint", f"{short}/best.ckpt",
+         "--clip", "eval_0000", "--attention", str(root / "inspect" / "attention.csv")],
+    ]
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        if code != 0:
+            raise SystemExit(f"sceneact {argv[0]} exited {code}")
+
+
+def main_digests() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        run(root)
+        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(root)}")
+
+
+if __name__ == "__main__":
+    main_digests()

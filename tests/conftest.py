@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from sceneact.config import config_from_dict

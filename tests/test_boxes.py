@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from sceneact.boxes import (
     BoundingBox,
     box_l1,
-    geometry_vector,
     giou,
     iou,
     sanitize_box,
@@ -79,20 +78,11 @@ class TestBoxL1:
             assert box_l1(a, b) == pytest.approx(expected, abs=1e-15)
 
 
-class TestGeometryVector:
-    def test_unit_box(self):
-        assert geometry_vector(BoundingBox(0, 0, 1, 1)).as_list() == [0, 0, 1, 1, 1, 1]
-
-    def test_subtraction(self):
-        g = geometry_vector(BoundingBox(0.2, 0.3, 0.5, 0.9))
-        np.testing.assert_allclose(g.as_list(), [0.2, 0.3, 0.5, 0.9, 0.3, 0.6])
-
+class TestSanitize:
     def test_degenerate_rejected(self):
         with pytest.raises(ValidationError):
             BoundingBox(0.5, 0.2, 0.5, 0.8)
 
-
-class TestSanitize:
     def test_min_side_enforced(self):
         b = sanitize_box(0.5, 0.5, 0.5, 0.5)
         assert b.width == pytest.approx(1e-4, rel=1e-9)

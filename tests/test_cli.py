@@ -3,7 +3,6 @@ import json
 import shutil
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from sceneact import cli, synthdata
@@ -516,3 +515,42 @@ class TestTopkK:
         assert main(["eval", "--checkpoint", str(out_dir / "best.ckpt"), "--dataset",
                      str(data_dir), "--out", str(tmp_path / "e"), "--strategy", "max",
                      "--topk-k", "50"]) == 0
+
+
+class TestMalformedFiles:
+    """A damaged input file exits 1 with one ``error:`` line and writes nothing."""
+
+    def run_eval(self, data_dir, checkpoint, out, capsys):
+        rc = main(["eval", "--checkpoint", str(checkpoint), "--dataset", str(data_dir),
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+        return err
+
+    def test_truncated_checkpoint(self, workspace, tmp_path, capsys):
+        _root, _cfg, data_dir, out_dir = workspace
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes((out_dir / "best.ckpt").read_bytes()[:-100])
+        err = self.run_eval(data_dir, cut, tmp_path / "x", capsys)
+        assert str(cut) in err and "truncated" in err
+
+    def test_manifest_not_json(self, workspace, tmp_path, capsys):
+        _root, _cfg, data_dir, out_dir = workspace
+        bad = tmp_path / "data"
+        shutil.copytree(data_dir, bad)
+        (bad / "manifest.json").write_text('{"config": ')
+        err = self.run_eval(bad, out_dir / "best.ckpt", tmp_path / "x", capsys)
+        assert "not valid JSON" in err
+
+    def test_manifest_without_config(self, workspace, tmp_path, capsys):
+        _root, _cfg, data_dir, out_dir = workspace
+        bad = tmp_path / "data"
+        shutil.copytree(data_dir, bad)
+        manifest = json.loads((bad / "manifest.json").read_text())
+        del manifest["config"]
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+        err = self.run_eval(bad, out_dir / "best.ckpt", tmp_path / "x", capsys)
+        assert "no run config" in err

@@ -4,11 +4,12 @@ from scipy.special import erf
 
 from sceneact import autodiff as ad
 from sceneact import model as mdl
-from sceneact.boxes import BoundingBox, geometry_vector
+from sceneact import checkpoint
+from sceneact.boxes import BoundingBox
 from sceneact.checkpoint import load_checkpoint, save_checkpoint
-from sceneact.errors import ConfigError, ContractError
+from sceneact.errors import ConfigError, ContractError, ValidationError
 from sceneact.rng import RngStream
-from sceneact.synthdata import ActorProposal, SceneContextGrid
+from sceneact.synthdata import ActorProposal
 from testkit import grad_check, zero_residual_projections
 
 
@@ -23,12 +24,18 @@ def make_proposals(gen, k=3, c=5):
     for i in range(k):
         x = 0.05 + 0.2 * i
         box = BoundingBox(x, 0.1, x + 0.15, 0.4)
-        out.append(ActorProposal(box, 0.7, gen.standard_normal(c), geometry_vector(box)))
+        out.append(ActorProposal(box, 0.7, gen.standard_normal(c)))
     return out
 
 
 def make_grid(gen, h=2, w=2, t=1, c=6):
-    return SceneContextGrid(h, w, t, gen.standard_normal((c, h * w * t)))
+    return gen.standard_normal((c, h * w * t))
+
+
+def geometry(props):
+    """(6, K) box columns: corners, then width and height."""
+    return np.array([[p.box.x_lt, p.box.y_lt, p.box.x_rb, p.box.y_rb, p.box.width,
+                      p.box.height] for p in props]).T
 
 
 class TestConfig:
@@ -59,7 +66,7 @@ class TestEmbeddings:
         gen = RngStream(4).generator()
         props = make_proposals(gen)
         doubled = [
-            ActorProposal(p.box, p.person_score, 2.0 * p.feature, p.geometry) for p in props
+            ActorProposal(p.box, p.person_score, 2.0 * p.feature) for p in props
         ]
         a = mdl.embed_actors(props, params).data
         b = mdl.embed_actors(doubled, params).data
@@ -72,9 +79,22 @@ class TestEmbeddings:
         props = make_proposals(gen, k=3, c=8)
         out = mdl.embed_actors(props, params).data
         f = np.stack([p.feature for p in props], axis=1)
-        g = np.stack([p.geometry.as_list() for p in props], axis=1)
+        g = geometry(props)
         expected = params.actor_proj.value.data @ f + params.geom_proj.value.data @ g
         np.testing.assert_allclose(out, expected, rtol=1e-12)
+
+    def test_geometry_columns_are_box_corners_width_height(self):
+        cfg = tiny_cfg()
+        params = mdl.init_params(cfg, 5, 6, RngStream(13))
+        params.actor_proj.assign(np.zeros(params.actor_proj.shape))
+        params.geom_proj.assign(np.eye(cfg.embed_dim, 6))
+        props = [ActorProposal(box, 0.7, np.ones(5)) for box in
+                 (BoundingBox(0, 0, 1, 1), BoundingBox(0.2, 0.3, 0.5, 0.9))]
+        out = mdl.embed_actors(props, params).data
+        assert out[:6, 0].tolist() == [0, 0, 1, 1, 1, 1]
+        np.testing.assert_allclose(out[:6, 1], [0.2, 0.3, 0.5, 0.9, 0.3, 0.6])
+        np.testing.assert_array_equal(out[:6], geometry(props))
+        assert np.all(out[6:] == 0.0)
 
     def test_scene_zero_projection_leaves_pe(self):
         cfg = tiny_cfg()
@@ -89,7 +109,7 @@ class TestEmbeddings:
         params = mdl.init_params(cfg, 5, 6, RngStream(9))
         grid = make_grid(RngStream(10).generator(), h=1, w=1, t=1)
         out = mdl.embed_scene(grid, params).data
-        expected = (params.scene_proj.value.data @ grid.features
+        expected = (params.scene_proj.value.data @ grid
                     + mdl.sinusoidal_pe(1, cfg.embed_dim))
         np.testing.assert_allclose(out, expected, rtol=1e-12)
 
@@ -98,7 +118,7 @@ class TestEmbeddings:
         params = mdl.init_params(cfg, 5, 6, RngStream(11))
         grid = make_grid(RngStream(12).generator(), h=2, w=2, t=2)
         out = mdl.embed_scene(grid, params).data
-        expected = params.scene_proj.value.data @ grid.features + mdl.sinusoidal_pe(
+        expected = params.scene_proj.value.data @ grid + mdl.sinusoidal_pe(
             8, cfg.embed_dim
         )
         np.testing.assert_allclose(out, expected, rtol=1e-12)
@@ -362,9 +382,9 @@ class TestEncoderDecoder:
             return _np_gelu(rows @ W(blk.w1).T + W(blk.b1)) @ W(blk.w2).T + W(blk.b2)
 
         f = np.stack([p.feature for p in props], axis=1)
-        g = np.stack([p.geometry.as_list() for p in props], axis=1)
+        g = geometry(props)
         a = (W(params.actor_proj) @ f + W(params.geom_proj) @ g).T
-        s = (W(params.scene_proj) @ grid.features + mdl.sinusoidal_pe(6, cfg.embed_dim)).T
+        s = (W(params.scene_proj) @ grid + mdl.sinusoidal_pe(6, cfg.embed_dim)).T
 
         (_, _, scene_attn), = params.scene_blocks[0].attns
         sn = ln(s, "scene0.ln1")
@@ -504,6 +524,26 @@ class TestCheckpoint:
         save_checkpoint(p1, {"model": arrays}, {"x": 1})
         save_checkpoint(p2, {"model": dict(reversed(list(arrays.items())))}, {"x": 1})
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_bytes_past_the_entries_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"model": {"w": np.ones(3)}})
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ValidationError, match="8 bytes past its entries"):
+            load_checkpoint(path)
+
+    def test_interrupted_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "last.ckpt"
+        save_checkpoint(path, {"model": {"w": np.ones(3)}})
+        before = path.read_bytes()
+
+        def killed(*_a):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(checkpoint.os, "replace", killed)
+        with pytest.raises(KeyboardInterrupt):
+            save_checkpoint(path, {"model": {"w": np.zeros(3)}})
+        assert path.read_bytes() == before
 
 
 class TestFullForwardGradient:

@@ -1,10 +1,9 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 
-from sceneact.boxes import BoundingBox, iou
+from sceneact.boxes import BoundingBox
 from sceneact.errors import ConfigError, ValidationError
 from sceneact.evaluation import Detection, evaluate
 from sceneact.rng import RngStream
@@ -13,11 +12,11 @@ from sceneact.synthdata import (
     GRID_T,
     GRID_W,
     SCENE_DIM,
+    TIMELINE_EXTENT,
     ActorProposal,
     ScenarioConfig,
     annotation_records,
     category_map,
-    dummy_proposal,
     generate_clip,
     generate_dataset,
     ground_truth_set,
@@ -34,6 +33,7 @@ from testkit import (
     appearance_knn_detections,
     oracle_scene_detections,
     read_annotations,
+    token_index,
 )
 
 
@@ -76,7 +76,7 @@ class TestGenerateClip:
         cfg = small_cfg(scene_noise=0.0)
         clip = generate_clip(cfg, RngStream(4).child(2), "s", 0.0)
         bank = signature_bank(cfg.seed, cfg.num_classes)
-        slice0 = int(-clip.timeline_offsets[0])
+        slice0 = TIMELINE_EXTENT
         for inst in clip.truth.instances:
             row, col = inst.cells[0]
             token = clip.timeline[slice0, row, col]
@@ -95,8 +95,8 @@ class TestSampleProposals:
         for i, s in enumerate(scores):
             x = 0.05 + 0.08 * i
             box = BoundingBox(x, 0.2, x + 0.07, 0.4)
-            out.append(ActorProposal(box, s, np.ones(4), None))
-        return [dataclasses.replace(d, geometry=None) for d in out]
+            out.append(ActorProposal(box, s, np.ones(4)))
+        return out
 
     def test_topk_exact_fit_sorted(self):
         dets = self.make_dets([0.3, 0.9, 0.6])
@@ -147,10 +147,10 @@ class TestWindows:
         cfg = small_cfg()
         clip = generate_clip(cfg, RngStream(8).child(0), "w", 10.0)
         grid = keyframe_grid(clip, 1.05, 1.05)
-        assert grid.features.shape == (SCENE_DIM, GRID_H * GRID_W * GRID_T)
+        assert grid.shape == (SCENE_DIM, GRID_H * GRID_W * GRID_T)
         # t-major flatten: token (t, r, c) comes from timeline slice near offset 0
-        slice0 = int(-clip.timeline_offsets[0])
-        tok = grid.features[:, grid.token_index(1, 3, 5)]
+        slice0 = TIMELINE_EXTENT
+        tok = grid[:, token_index(1, 3, 5)]
         assert np.array_equal(tok, clip.timeline[slice0, 3, 5])
 
     def test_out_of_range_clamps(self, caplog):
@@ -159,7 +159,7 @@ class TestWindows:
         far = (clip.keyframe_time + 100.0, clip.keyframe_time + 102.0)
         grid = window_grid(clip, far)
         last = clip.timeline[-1]
-        assert np.array_equal(grid.features[:, grid.token_index(0, 0, 0)], last[0, 0])
+        assert np.array_equal(grid[:, token_index(0, 0, 0)], last[0, 0])
 
     def test_temporal_augment_identity_at_zero_range(self):
         cfg = small_cfg()
@@ -196,7 +196,7 @@ class TestWindows:
         bank = signature_bank(cfg.seed, cfg.num_classes)
         inst = clip.truth.instances[0]
         row, col = inst.cells[0]
-        tok = grid.features[:, grid.token_index(1, row, col)]
+        tok = grid[:, token_index(1, row, col)]
         assert tok @ bank[inst.class_id] > 0.5 * cfg.signature_magnitude
 
 

@@ -5,7 +5,8 @@
 identity; ``read_annotations`` parses the ground-truth CSVs that
 ``sceneact generate`` writes; ``oracle_scene_detections`` and
 ``appearance_knn_detections`` are the non-learned ceiling and floor of
-the synthetic world.
+the synthetic world; ``token_index`` locates a grid cell among the
+scene tokens.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from sceneact.errors import ConfigError, ValidationError
 from sceneact.model import ModelParams
 from sceneact.synthdata import (
     CATEGORIES,
+    GRID_H,
     GRID_T,
+    GRID_W,
     PAIR_DISTANCE_MAX,
     ClipSample,
     ScenarioConfig,
@@ -146,6 +149,11 @@ def read_annotations(path) -> list[tuple]:
 # dataset solvability probes (non-learned)
 
 
+def token_index(t: int, row: int, col: int) -> int:
+    """Column of time sample t, cell (row, col) in a ``window_grid`` token matrix."""
+    return (t * GRID_H + row) * GRID_W + col
+
+
 def oracle_scene_detections(clip: ClipSample, cfg: ScenarioConfig,
                             t_before: float, t_after: float):
     """Score ground-truth boxes by correlating scene tokens with signatures.
@@ -171,7 +179,7 @@ def oracle_scene_detections(clip: ClipSample, cfg: ScenarioConfig,
             best = -np.inf
             for row, col in cells:
                 for t in range(GRID_T):
-                    token = grid.features[:, grid.token_index(t, row, col)]
+                    token = grid[:, token_index(t, row, col)]
                     best = max(best, float(token @ signatures[k]))
             if best == -np.inf:
                 best = 0.0
