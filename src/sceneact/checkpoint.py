@@ -52,26 +52,37 @@ def load_checkpoint(path) -> tuple[dict[str, dict[str, np.ndarray]], dict]:
         header = json.loads(raw[:nl].decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"checkpoint {path} header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ValidationError(f"checkpoint {path} header is not a JSON object")
     if header.get("format") != FORMAT:
         raise ValidationError(f"unsupported checkpoint format {header.get('format')!r}")
+    meta, entries = header.get("meta", {}), header.get("entries")
+    if not isinstance(meta, dict) or not isinstance(entries, list):
+        raise ValidationError(f"checkpoint {path} header needs a meta object and an entries list")
     body = raw[nl + 1 :]
     sections: dict[str, dict[str, np.ndarray]] = {}
     end = 0
-    for entry in header["entries"]:
-        shape = tuple(entry["shape"])
+    for entry in entries:
+        try:
+            section, name = str(entry["section"]), str(entry["name"])
+            shape = tuple(int(n) for n in entry["shape"])
+            start = int(entry["offset"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"checkpoint {path} has a malformed entry {entry!r}: "
+                                  f"{exc!r}") from exc
+        if start < 0 or min(shape, default=0) < 0:
+            raise ValidationError(f"checkpoint {path}: {section}/{name} has a negative "
+                                  f"offset or dimension")
         count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
         end = max(end, start + 8 * count)
         if end > len(body):
-            raise ValidationError(f"checkpoint {path} is truncated: {entry['section']}/"
-                                  f"{entry['name']} runs past the end of the file")
+            raise ValidationError(f"checkpoint {path} is truncated: {section}/"
+                                  f"{name} runs past the end of the file")
         data = np.frombuffer(body, dtype="<f8", count=count, offset=start)
-        sections.setdefault(entry["section"], {})[entry["name"]] = (
-            data.reshape(shape).astype(np.float64)
-        )
+        sections.setdefault(section, {})[name] = data.reshape(shape).astype(np.float64)
     if len(body) > end:
         raise ValidationError(f"checkpoint {path} has {len(body) - end} bytes past its entries")
-    return sections, header.get("meta", {})
+    return sections, meta
 
 
 def params_hash(arrays: dict[str, np.ndarray]) -> str:

@@ -77,11 +77,15 @@ def _require_match(source: str, reference: str, **pairs):
         raise ValidationError(f"{source}: " + "; ".join(found))
 
 
-def _load_checkpoint(path, cfg: RunConfig, dataset_dir):
-    """``load_train_state``, refusing a checkpoint made for another scenario than the dataset's."""
+def _load_checkpoint(path, cfg: RunConfig, dataset_dir, windowed: bool = False):
+    """``load_train_state``, refusing a checkpoint made for another scenario than the dataset's,
+    and an actor_only one for ``windowed`` fusion, where every window would score the same."""
     state, model_cfg, scenario = load_train_state(path, cfg.optimizer)
     _require_match(f"checkpoint {path}", f"the manifest in {dataset_dir}",
                    scenario=(scenario, cfg.scenario))
+    if windowed and model_cfg.variant == "actor_only":
+        raise ConfigError(f"checkpoint {path} is actor_only, which reads no scene window; "
+                          f"--phase long, --strategy and --support need a scene-reading model")
     return state, model_cfg, scenario
 
 
@@ -145,7 +149,8 @@ def cmd_train(args) -> int:
     dataset, cfg = _load_dataset_dir(args.dataset, args.config)
     state = None
     if args.phase == "long":
-        state, model_cfg, _scenario = _load_checkpoint(args.checkpoint, cfg, args.dataset)
+        state, model_cfg, _scenario = _load_checkpoint(args.checkpoint, cfg, args.dataset,
+                                                       windowed=True)
     elif args.resume:
         state, model_cfg, scenario = load_train_state(args.resume, cfg.optimizer)
         _require_match(f"checkpoint {args.resume}", "the run config",
@@ -199,7 +204,8 @@ def cmd_eval(args) -> int:
     if "topk" in (args.strategy or []) and args.topk_k > cfg.windowing.num_windows:
         raise ConfigError(f"--topk-k {args.topk_k} exceeds the {cfg.windowing.num_windows} "
                           f"windows that --strategy topk fuses")
-    state, model_cfg, scenario = _load_checkpoint(args.checkpoint, cfg, args.dataset)
+    state, model_cfg, scenario = _load_checkpoint(args.checkpoint, cfg, args.dataset,
+                                                  windowed=bool(support_seconds or args.strategy))
     if args.variant and args.variant != model_cfg.variant:
         raise ConfigError(
             f"checkpoint was trained with variant {model_cfg.variant!r}, not {args.variant!r}"
@@ -261,15 +267,17 @@ def cmd_inspect(args) -> int:
     """Export attention weights per (layer, head, query, key).
 
     Unified: tokens count the K actors first, then the N scene tokens, and the
-    last layer is (K, K + N). Other variants export only their K × N
-    actor-to-scene cross-attention, keys numbering the scene tokens from 0.
+    last layer is (K, K + N). Actor-only: every layer is K × K. Other variants
+    export only their K × N actor-to-scene cross-attention, keys numbering the
+    scene tokens from 0.
     """
     dataset, cfg = _load_dataset_dir(args.dataset)
     state, model_cfg, _scenario = _load_checkpoint(args.checkpoint, cfg, args.dataset)
     clip = dataset.clip(args.clip)
     sink: list = []
     with ad.no_grad():
-        grid = keyframe_grid(clip, cfg.windowing.t_before, cfg.windowing.t_after)
+        grid = (None if model_cfg.variant == "actor_only"
+                else keyframe_grid(clip, cfg.windowing.t_before, cfg.windowing.t_after))
         mdl.forward_actions(
             state.params, model_cfg, clip.proposals, grid, RngStream(0),
             training=False, attn_sink=sink,
@@ -324,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(fn=cmd_eval)
 
     p_ins = sub.add_parser("inspect", help="export raw attention for one clip "
-                           "(unified: actors then scene tokens, last layer actor queries "
-                           "only; other variants: actor-to-scene cross-attention only)")
+                           "(unified: actors then scene tokens; actor_only: actors only; "
+                           "other variants: actor-to-scene cross-attention only)")
     p_ins.add_argument("--checkpoint", required=True)
     p_ins.add_argument("--dataset", required=True)
     p_ins.add_argument("--clip", required=True)

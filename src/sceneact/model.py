@@ -2,21 +2,23 @@
 
 Actor detector features and their box geometry are linearly embedded;
 scene grid tokens are embedded and tagged with a fixed sinusoidal
-positional code. Three relation architectures share the embedding and
+positional code. Four relation architectures share the embedding and
 classification head:
 
 * unified      -- one self-attention stack over the concatenation of
                   actor and scene tokens (every token attends to all),
+* actor_only   -- the same stack over the actor tokens alone: the
+                  scene-blind ablation, built without a scene projection,
 * decoder_only -- actor tokens cross-attend into the raw scene tokens,
 * encoder_decoder -- scene tokens are self-encoded first, then actor
                   tokens run self-attention plus cross-attention blocks.
 
-All three use one pre-norm residual block: attention sublayers
+Every variant uses one pre-norm residual block: attention sublayers
 x = Attn(LN(x), LN(kv)) + x, with kv = x (self) or a key/value source
 (cross), then x = MLP(LN(x)) + x with GELU. The encoder-decoder's actor
 blocks have two sublayers (self, then cross); the rest have one. Only the
-last sublayer exports to ``attn_sink``: the unified stack's attention, or
-the other variants' actor-to-scene cross-attention.
+last sublayer exports to ``attn_sink``: the self-attention stack's
+attention, or the other variants' actor-to-scene cross-attention.
 
 An attention sublayer records five tape nodes besides the query scale and
 the output dropout: three ``ad.linear`` projections (queries, keys,
@@ -34,7 +36,7 @@ order, so a (K, ...) dropout mask is the first K rows of the (K + N, ...) one.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +47,8 @@ from .rng import RngStream
 
 LAYER_NORM_EPS = 1e-5
 
-VARIANTS = ("unified", "decoder_only", "encoder_decoder")
+VARIANTS = ("unified", "decoder_only", "encoder_decoder", "actor_only")
+SELF_STACK = ("unified", "actor_only")  # the variants encode() runs, blocks named enc{l}
 
 
 @dataclass(frozen=True)
@@ -102,30 +105,21 @@ class BlockParams:
 
 @dataclass
 class ModelParams:
-    """All trainable parameters, registered under unique names."""
+    """All trainable parameters; ``named`` holds each under its name, in creation order."""
 
-    cfg: ModelConfig
-    actor_dim: int
-    scene_dim: int
     actor_proj: Parameter
     geom_proj: Parameter
-    scene_proj: Parameter
-    blocks: list = field(default_factory=list)
-    scene_blocks: list = field(default_factory=list)
-    head_w1: Parameter | None = None
-    head_b1: Parameter | None = None
-    head_w2: Parameter | None = None
-    head_b2: Parameter | None = None
-    _registry: dict = field(default_factory=dict)
-
-    def register(self, param: Parameter) -> Parameter:
-        if param.name in self._registry:
-            raise ContractError(f"duplicate parameter name {param.name!r}")
-        self._registry[param.name] = param
-        return param
+    scene_proj: Parameter | None  # None for actor_only
+    blocks: list
+    scene_blocks: list
+    head_w1: Parameter
+    head_b1: Parameter
+    head_w2: Parameter
+    head_b2: Parameter
+    named: dict[str, Parameter]
 
     def parameters(self) -> list[Parameter]:
-        return list(self._registry.values())
+        return list(self.named.values())
 
 
 def _glorot(rng: RngStream, out_dim: int, in_dim: int) -> np.ndarray:
@@ -173,27 +167,25 @@ def init_params(
 
     actor_proj = make("embed.actor", _glorot(rng.child_named("embed.actor"), d, actor_dim))
     geom_proj = make("embed.geom", _glorot(rng.child_named("embed.geom"), d, 6))
-    scene_proj = make("embed.scene", _glorot(rng.child_named("embed.scene"), d, scene_dim))
+    scene_proj = (None if cfg.variant == "actor_only" else
+                  make("embed.scene", _glorot(rng.child_named("embed.scene"), d, scene_dim)))
 
-    params = ModelParams(cfg, actor_dim, scene_dim, actor_proj, geom_proj, scene_proj)
-
-    if cfg.variant == "unified":
-        params.blocks = [block(f"enc{l}", *one_attn) for l in range(cfg.layers)]
+    scene_blocks = []
+    if cfg.variant in SELF_STACK:
+        blocks = [block(f"enc{l}", *one_attn) for l in range(cfg.layers)]
     elif cfg.variant == "decoder_only":
-        params.blocks = [block(f"dec{l}", *one_attn) for l in range(cfg.layers)]
+        blocks = [block(f"dec{l}", *one_attn) for l in range(cfg.layers)]
     else:
-        params.scene_blocks = [block(f"scene{l}", *one_attn) for l in range(cfg.layers)]
-        params.blocks = [
+        scene_blocks = [block(f"scene{l}", *one_attn) for l in range(cfg.layers)]
+        blocks = [
             block(f"dec{l}", [("ln_self", "self"), ("ln_cross", "cross")], "ln_mlp")
             for l in range(cfg.layers)
         ]
 
-    params.head_w1, params.head_b1 = linear("head.fc1", d, d)
-    params.head_w2, params.head_b2 = linear("head.fc2", cfg.num_classes, d)
-
-    for name in made:
-        params.register(made[name])
-    return params
+    head_w1, head_b1 = linear("head.fc1", d, d)
+    head_w2, head_b2 = linear("head.fc2", cfg.num_classes, d)
+    return ModelParams(actor_proj, geom_proj, scene_proj, blocks, scene_blocks,
+                       head_w1, head_b1, head_w2, head_b2, made)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +209,7 @@ def sinusoidal_pe(n: int, d: int) -> np.ndarray:
 
 def embed_actors(proposals, params: ModelParams) -> Tensor:
     """Columns E_a f + E_g g per proposal, in order; g is the box's corners, width, height."""
-    c = params.actor_dim
+    c = params.actor_proj.shape[1]
     feats = []
     geoms = []
     for p in proposals:
@@ -234,12 +226,11 @@ def embed_actors(proposals, params: ModelParams) -> Tensor:
 def embed_scene(grid: np.ndarray, params: ModelParams) -> Tensor:
     """Project the (C', N) scene token matrix and add the positional code."""
     f_v = np.asarray(grid, dtype=np.float64)
-    if f_v.shape[0] != params.scene_dim:
-        raise DimensionError(
-            f"scene token length {f_v.shape[0]}, expected {params.scene_dim}"
-        )
+    d, c = params.scene_proj.shape
+    if f_v.shape[0] != c:
+        raise DimensionError(f"scene token length {f_v.shape[0]}, expected {c}")
     proj = ad.matmul(params.scene_proj.value, Tensor(f_v))
-    pe = Tensor(sinusoidal_pe(f_v.shape[1], params.cfg.embed_dim))
+    pe = Tensor(sinusoidal_pe(f_v.shape[1], d))
     return ad.add(proj, pe)
 
 
@@ -308,9 +299,9 @@ def encode(
     training: bool = False,
     attn_sink: list | None = None,
 ) -> Tensor:
-    """Run the unified stack over all K + N tokens; returns the refined actor tokens (D, K)."""
-    if cfg.variant != "unified":
-        raise ContractError(f"encode handles the unified variant, not {cfg.variant!r}")
+    """Run the self-attention stack over all K + N tokens; returns refined actor tokens (D, K)."""
+    if cfg.variant not in SELF_STACK:
+        raise ContractError(f"encode handles the {SELF_STACK} variants, not {cfg.variant!r}")
     x = actor_tokens if scene_tokens is None else ad.concat([actor_tokens, scene_tokens], axis=1)
     x = ad.transpose(x)  # (K+N, D)
     last = len(params.blocks) - 1
@@ -333,8 +324,8 @@ def encode_variant(
     attn_sink: list | None = None,
 ) -> Tensor:
     """Run a non-unified stack; returns the refined actor tokens (D, K)."""
-    if cfg.variant == "unified":
-        raise ContractError("unified variant is handled by encode()")
+    if cfg.variant in SELF_STACK:
+        raise ContractError(f"variant {cfg.variant!r} is handled by encode()")
     a = ad.transpose(actor_tokens)
     s = ad.transpose(scene_tokens)
     for l, blk in enumerate(params.scene_blocks):  # encoder_decoder only
@@ -364,16 +355,17 @@ def forward_actions(
 ) -> Tensor:
     """Embed, relate and classify; returns (num_classes, K) logits on the tape.
 
-    ``grid`` is ``synthdata.window_grid``'s (C', N) token matrix, or None to
-    run on actor tokens alone (scene-blind ablation); the unified stack then
-    sees only the K actor columns.
+    ``grid`` is ``synthdata.window_grid``'s (C', N) token matrix for the
+    scene-reading variants, and None for ``actor_only``, whose stack then
+    sees only the K actor columns; any other pairing is a ``ContractError``.
     """
+    if (grid is None) != (cfg.variant == "actor_only"):
+        raise ContractError(
+            f"variant {cfg.variant!r} takes {'a' if grid is None else 'no'} scene grid")
     a = embed_actors(proposals, params)
     v = embed_scene(grid, params) if grid is not None else None
-    if cfg.variant == "unified":
+    if cfg.variant in SELF_STACK:
         actors = encode(a, v, params, cfg, rng, training, attn_sink)
     else:
-        if v is None:
-            raise ContractError("non-unified variants require scene tokens")
         actors = encode_variant(a, v, params, cfg, rng, training, attn_sink)
     return classify(actors, params)

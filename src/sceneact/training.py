@@ -6,8 +6,9 @@ clipped AdamW step. Each train clip's match and padded targets are
 constants of the data, computed once per call before the first step. A
 step's clips run on the worker pool, and their losses and gradient terms
 are summed in clip order, the order one backward of the batch loss adds
-them, so a step is bit-identical on any number of CPUs. Phase 2 freezes
-the model and fits only the aggregation weights on long clips. All
+them, so a step is bit-identical on any number of CPUs. Neither loop
+builds a scene grid for an ``actor_only`` model. Phase 2 freezes the
+model and fits only the aggregation weights on long clips. All
 randomness (batch order, augmentation offsets, dropout masks) derives
 from the run seed through named sub-streams indexed by epoch and step,
 so a run is a pure function of its configuration and resuming from a
@@ -169,18 +170,18 @@ def evaluate_short_term(
     clips: list[ClipSample],
     scenario: ScenarioConfig,
     windowing: WindowingConfig,
-    use_scene: bool = True,
     proposal_mode: str = "topk",
     proposal_tau: float = 0.0,
 ) -> EvalReport:
     """Keyframe AP; proposals and grids are made here in clip order, forwards on the pool."""
+    blind = cfg.variant == "actor_only"
     jobs = []
     for clip in clips:
         proposals = sample_proposals(
             clip.detections, scenario.proposal_count, mode=proposal_mode,
             tau=proposal_tau, actor_dim=scenario.actor_dim,
         )
-        grid = keyframe_grid(clip, windowing.t_before, windowing.t_after) if use_scene else None
+        grid = None if blind else keyframe_grid(clip, windowing.t_before, windowing.t_after)
         jobs.append((params, cfg, proposals, grid))
     with ad.no_grad():  # entered once here, it covers every worker
         scores = map_on_pool(action_scores, jobs)
@@ -243,7 +244,6 @@ def train_short_term(
     opt_cfg: OptimizerConfig,
     rng: RngStream,
     windowing: WindowingConfig | None = None,
-    use_scene: bool = True,
     out_dir=None,
     state: TrainState | None = None,
     log_lines: list | None = None,
@@ -263,6 +263,7 @@ def train_short_term(
     clips = dataset.train
     targets = [matched_targets(ground_truth_set(c, len(c.proposals)), c.proposals, loss_cfg)
                for c in clips]
+    blind = model_cfg.variant == "actor_only"
     for epoch in range(state.epoch, opt_cfg.epochs):
         lr_scale = opt_cfg.decay_factor if epoch >= opt_cfg.decay_epoch else 1.0
         order = rng.child_named("order").child(epoch).generator().permutation(len(clips))
@@ -277,8 +278,7 @@ def train_short_term(
                     clip, AUGMENT_RANGE,
                     rng.child_named("aug").child(epoch, state.step, j),
                 )
-                grid = (keyframe_grid(aug, windowing.t_before, windowing.t_after)
-                        if use_scene else None)
+                grid = None if blind else keyframe_grid(aug, windowing.t_before, windowing.t_after)
                 jobs.append((params, model_cfg, loss_cfg, clip, grid, targets[i],
                              rng.child_named("dropout").child(epoch, state.step, j), clip_weight))
             results = map_on_pool(_clip_loss_and_gradients, jobs)
@@ -306,9 +306,7 @@ def train_short_term(
                     f"step {state.step} loss {loss_value:.6f} lr {opt_cfg.lr * lr_scale:g}"
                 )
             state.step += 1
-        report = evaluate_short_term(
-            params, model_cfg, dataset.eval, scenario, windowing, use_scene=use_scene
-        )
+        report = evaluate_short_term(params, model_cfg, dataset.eval, scenario, windowing)
         mean_loss = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
         state.history.append((epoch, mean_loss, report.mean_ap))
         state.epoch = epoch + 1
@@ -390,27 +388,51 @@ def load_train_state(path, opt_cfg: OptimizerConfig) -> tuple[TrainState, ModelC
     model_cfg = _cfg_from_meta(ModelConfig, meta, "model", path)
     scenario = _cfg_from_meta(ScenarioConfig, meta, "scenario", path)
     params = init_params(model_cfg, scenario.actor_dim, SCENE_DIM, RngStream(0))
+    model = _section(path, sections, "model", {p.name: p.value.data for p in params.parameters()})
     for p in params.parameters():
-        p.assign(sections["model"][p.name])
+        p.assign(model[p.name])
     opt = AdamW(params.parameters(), lr=opt_cfg.lr, weight_decay=opt_cfg.weight_decay)
-    opt.load_state_arrays(sections["optimizer"])
+    opt.load_state_arrays(_section(path, sections, "optimizer", opt.state_arrays()))
+    progress = _section(path, sections, "progress",
+                        {k: np.zeros(1) for k in ("epoch", "step", "best_map")})
     state = TrainState(
         params,
         opt,
-        epoch=int(sections["progress"]["epoch"][0]),
-        step=int(sections["progress"]["step"][0]),
-        best_map=float(sections["progress"]["best_map"][0]),
+        epoch=int(progress["epoch"][0]),
+        step=int(progress["step"][0]),
+        best_map=float(progress["best_map"][0]),
     )
     if "aggregation" in sections:
-        offsets = tuple(int(o) for o in sections["aggregation"]["offsets"])
-        state.aggregation = AggregationWeights(offsets, sections["aggregation"]["weights"])
+        n = np.size(sections["aggregation"].get("offsets", ()))
+        agg = _section(path, sections, "aggregation",
+                       {"offsets": np.zeros(n), "weights": np.zeros((n, model_cfg.num_classes))})
+        state.aggregation = AggregationWeights(tuple(int(o) for o in agg["offsets"]),
+                                               agg["weights"])
     return state, model_cfg, scenario
+
+
+def _section(path, sections: dict, name: str, like: dict[str, np.ndarray]) -> dict:
+    """``sections[name]``, refused unless it holds exactly ``like``'s names and shapes."""
+    arrays = sections.get(name)
+    if arrays is None:
+        raise ValidationError(f"checkpoint {path} has no {name} section")
+    unknown, missing = sorted(set(arrays) - set(like)), sorted(set(like) - set(arrays))
+    if unknown or missing:
+        raise ValidationError(f"checkpoint {path}: {name} section has unknown arrays {unknown} "
+                              f"and missing arrays {missing}")
+    for key, ref in like.items():
+        if arrays[key].shape != ref.shape:
+            raise ValidationError(f"checkpoint {path}: {name}/{key} has shape "
+                                  f"{arrays[key].shape}, expected {ref.shape}")
+    return arrays
 
 
 def _cfg_from_meta(cls, meta: dict, section: str, path):
     """Rebuild a config from checkpoint metadata whose keys are exactly the class's fields."""
     names = {f.name for f in fields(cls)}
     data = meta.get(section, {})
+    if not isinstance(data, dict):
+        raise ValidationError(f"checkpoint {path}: {section} metadata is not an object")
     unknown, missing = sorted(set(data) - names), sorted(names - set(data))
     if unknown or missing:
         raise ValidationError(f"checkpoint {path}: {section} metadata has unknown keys "

@@ -3,9 +3,11 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sceneact import cli, synthdata
+from sceneact.checkpoint import load_checkpoint, save_checkpoint
 from sceneact.cli import main
 from sceneact.config import config_from_dict, config_hash, load_config
 from sceneact.errors import ConfigError, NanLossError
@@ -554,3 +556,130 @@ class TestMalformedFiles:
         (bad / "manifest.json").write_text(json.dumps(manifest))
         err = self.run_eval(bad, out_dir / "best.ckpt", tmp_path / "x", capsys)
         assert "no run config" in err
+
+    @staticmethod
+    def edit_header(source, target, edit):
+        raw = source.read_bytes()
+        nl = raw.index(b"\n")
+        header = json.loads(raw[:nl])
+        target.write_bytes(json.dumps(edit(header)).encode() + raw[nl:])
+
+    def test_header_not_an_object(self, workspace, tmp_path, capsys):
+        _root, _cfg, data_dir, out_dir = workspace
+        bad = tmp_path / "bad.ckpt"
+        self.edit_header(out_dir / "best.ckpt", bad, lambda header: [1])
+        err = self.run_eval(data_dir, bad, tmp_path / "x", capsys)
+        assert "not a JSON object" in err
+
+    def test_header_without_entries(self, workspace, tmp_path, capsys):
+        _root, _cfg, data_dir, out_dir = workspace
+        bad = tmp_path / "bad.ckpt"
+        self.edit_header(out_dir / "best.ckpt", bad,
+                         lambda header: {k: v for k, v in header.items() if k != "entries"})
+        err = self.run_eval(data_dir, bad, tmp_path / "x", capsys)
+        assert "entries" in err
+
+    @pytest.mark.parametrize("key", ["section", "name", "shape", "offset"])
+    def test_entry_missing_key(self, workspace, tmp_path, capsys, key):
+        _root, _cfg, data_dir, out_dir = workspace
+        bad = tmp_path / "bad.ckpt"
+
+        def drop(header):
+            del header["entries"][0][key]
+            return header
+
+        self.edit_header(out_dir / "best.ckpt", bad, drop)
+        err = self.run_eval(data_dir, bad, tmp_path / "x", capsys)
+        assert "malformed entry" in err and repr(key) in err
+
+    @staticmethod
+    def edit_sections(source, target, edit):
+        sections, meta = load_checkpoint(source)
+        edit(sections)
+        save_checkpoint(target, sections, meta)
+
+    @pytest.mark.parametrize("section", ["model", "optimizer", "progress"])
+    def test_missing_section(self, workspace, tmp_path, capsys, section):
+        _root, _cfg, data_dir, out_dir = workspace
+        bad = tmp_path / "bad.ckpt"
+        self.edit_sections(out_dir / "best.ckpt", bad, lambda sections: sections.pop(section))
+        err = self.run_eval(data_dir, bad, tmp_path / "x", capsys)
+        assert f"no {section} section" in err
+
+    def test_model_names_differ_from_variant(self, workspace, tmp_path, capsys):
+        _root, _cfg, data_dir, out_dir = workspace
+        bad = tmp_path / "bad.ckpt"
+
+        def rename(sections):
+            sections["model"]["head.fc2.bias"] = sections["model"].pop("head.fc2.b")
+
+        self.edit_sections(out_dir / "best.ckpt", bad, rename)
+        err = self.run_eval(data_dir, bad, tmp_path / "x", capsys)
+        assert "'head.fc2.bias'" in err and "'head.fc2.b'" in err
+
+    @pytest.mark.parametrize("section,name", [("model", "embed.geom"),
+                                              ("optimizer", "m.embed.geom"),
+                                              ("progress", "epoch")])
+    def test_array_of_wrong_shape(self, workspace, tmp_path, capsys, section, name):
+        _root, _cfg, data_dir, out_dir = workspace
+        bad = tmp_path / "bad.ckpt"
+
+        def widen(sections):
+            sections[section][name] = np.zeros(sections[section][name].size + 1)
+
+        self.edit_sections(out_dir / "best.ckpt", bad, widen)
+        err = self.run_eval(data_dir, bad, tmp_path / "x", capsys)
+        assert f"{section}/{name} has shape" in err
+
+
+class TestActorOnly:
+    """An actor_only checkpoint evaluates and inspects; window fusion on it is refused."""
+
+    @pytest.fixture(scope="class")
+    def blind_run(self, workspace):
+        root, _cfg, data_dir, _out = workspace
+        cfg_path = root / "actor_only.json"
+        cfg_path.write_text(json.dumps(dict(TINY, model=dict(TINY["model"], layers=2,
+                                                             variant="actor_only"))))
+        run_dir = root / "blind"
+        assert main(["train", "--config", str(cfg_path), "--dataset", str(data_dir),
+                     "--out", str(run_dir)]) == 0
+        return cfg_path, data_dir, run_dir / "best.ckpt"
+
+    def test_checkpoint_holds_no_scene_projection(self, blind_run):
+        _cfg, _data, ckpt = blind_run
+        sections, meta = load_checkpoint(ckpt)
+        assert meta["model"]["variant"] == "actor_only"
+        assert "embed.scene" not in sections["model"] and "embed.actor" in sections["model"]
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--phase", "long", "--checkpoint", "{ckpt}"],
+        ["eval", "--checkpoint", "{ckpt}", "--strategy", "avg"],
+        ["eval", "--checkpoint", "{ckpt}", "--topk", "--support", "4.1"],
+    ], ids=["train_long", "eval_strategy", "eval_support"])
+    def test_window_fusion_refused_before_out(self, blind_run, tmp_path, capsys, argv):
+        cfg_path, data_dir, ckpt = blind_run
+        out = tmp_path / "x"
+        rc = main([a.format(ckpt=ckpt) for a in argv]
+                  + ["--dataset", str(data_dir), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "actor_only" in errors[0]
+        assert not out.exists()
+
+    def test_topk_eval_and_inspect_run(self, blind_run, tmp_path):
+        _cfg, data_dir, ckpt = blind_run
+        assert main(["eval", "--checkpoint", str(ckpt), "--dataset", str(data_dir),
+                     "--out", str(tmp_path / "e"), "--topk", "--threshold", "0.5"]) == 0
+        assert (tmp_path / "e" / "sampling_topk_per_class.csv").exists()
+        out_csv = tmp_path / "attn.csv"
+        assert main(["inspect", "--checkpoint", str(ckpt), "--dataset", str(data_dir),
+                     "--clip", "eval_0000", "--attention", str(out_csv)]) == 0
+        k = TINY["scenario"]["proposal_count"]
+        pairs = {}
+        for r in csv.DictReader(out_csv.open()):
+            pairs.setdefault(r["layer"], set()).add((int(r["query"]), int(r["key"])))
+        # every layer, the last included, is actor-to-actor only: K x K
+        assert pairs == {str(l): {(q, key) for q in range(k) for key in range(k)}
+                         for l in range(2)}

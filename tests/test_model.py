@@ -207,6 +207,42 @@ class TestEncode:
         uni_params = mdl.init_params(uni, 5, 6, RngStream(21))
         with pytest.raises(ContractError):
             mdl.encode_variant(a, v, uni_params, uni, RngStream(0))
+        blind = tiny_cfg(variant="actor_only")
+        with pytest.raises(ContractError):
+            mdl.encode_variant(a, v, mdl.init_params(blind, 5, 6, RngStream(21)), blind,
+                               RngStream(0))
+
+    @pytest.mark.parametrize("variant", mdl.VARIANTS)
+    def test_forward_refuses_wrong_grid(self, variant):
+        """Scene-reading variants need a grid; actor_only takes none."""
+        cfg = tiny_cfg(variant=variant)
+        params = mdl.init_params(cfg, 5, 6, RngStream(19))
+        gen = RngStream(20).generator()
+        props = make_proposals(gen)
+        wrong = make_grid(gen) if variant == "actor_only" else None
+        with pytest.raises(ContractError, match=variant):
+            mdl.forward_actions(params, cfg, props, wrong, RngStream(0))
+
+    def test_actor_only_is_the_unified_stack_on_actor_tokens(self):
+        """Bit for bit, in logits and gradients, including live dropout."""
+        logits, grads = [], []
+        for variant in ("unified", "actor_only"):
+            cfg = tiny_cfg(layers=2, dropout=0.3, variant=variant)
+            params = mdl.init_params(cfg, 5, 6, RngStream(67))
+            props = make_proposals(RngStream(68).generator())
+            if variant == "unified":  # its stack on actor tokens alone, no scene projection
+                actors = mdl.encode(mdl.embed_actors(props, params), None, params, cfg,
+                                    RngStream(69), training=True)
+                out = mdl.classify(actors, params)
+            else:
+                out = mdl.forward_actions(params, cfg, props, None, RngStream(69), training=True)
+            ad.backward(ad.reduce_sum(out))
+            logits.append(out.data)
+            grads.append({p.name: p.grad for p in params.parameters()})
+        assert np.array_equal(logits[0], logits[1])
+        assert grads[0].keys() - {"embed.scene"} == grads[1].keys()
+        for name, g in grads[1].items():
+            assert np.array_equal(g, grads[0][name]), name
 
     def test_single_scene_token_cross_attention_passthrough(self):
         # softmax over one key is exactly 1 regardless of content
@@ -284,7 +320,7 @@ class TestActorRowLastBlock:
     @pytest.mark.parametrize("scene", [True, False], ids=["scene", "scene_blind"])
     @pytest.mark.parametrize("layers", [0, 1, 3])
     def test_matches_full_stack_oracle(self, layers, scene):
-        cfg = tiny_cfg(layers=layers, dropout=0.3)
+        cfg = tiny_cfg(layers=layers, dropout=0.3, variant="unified" if scene else "actor_only")
         params = mdl.init_params(cfg, 5, 6, RngStream(50))
         gen = RngStream(51).generator()
         props = make_proposals(gen, k=3)
@@ -462,11 +498,21 @@ class TestParameterNames:
         ("decoder_only", [("dec0", SELF_BLOCK), ("dec1", SELF_BLOCK)]),
         ("encoder_decoder", [("scene0", SELF_BLOCK), ("scene1", SELF_BLOCK),
                              ("dec0", DECODER_BLOCK), ("dec1", DECODER_BLOCK)]),
+        ("actor_only", [("enc0", SELF_BLOCK), ("enc1", SELF_BLOCK)]),
     ])
     def test_registration_order(self, variant, blocks):
         params = mdl.init_params(tiny_cfg(variant=variant), 5, 6, RngStream(65))
-        expected = EMBED_NAMES + sum((_block_names(p, *b) for p, b in blocks), []) + HEAD_NAMES
+        embed = [n for n in EMBED_NAMES if variant != "actor_only" or n != "embed.scene"]
+        expected = embed + sum((_block_names(p, *b) for p, b in blocks), []) + HEAD_NAMES
         assert [p.name for p in params.parameters()] == expected
+
+    def test_actor_only_parameters_equal_unified_ones(self):
+        unified = mdl.init_params(tiny_cfg(), 5, 6, RngStream(66))
+        blind = mdl.init_params(tiny_cfg(variant="actor_only"), 5, 6, RngStream(66))
+        assert blind.scene_proj is None
+        shared = {p.name: p.value.data for p in unified.parameters()}
+        for p in blind.parameters():
+            assert np.array_equal(p.value.data, shared[p.name]), p.name
 
 
 class TestClassify:
@@ -577,8 +623,8 @@ class TestFullForwardGradient:
         gen = RngStream(45).generator()
         props = make_proposals(gen)
         gts = GroundTruthSet.build([props[1].box], np.array([[0, 1.0, 0]]), 3)
-        logits = mdl.forward_actions(params, cfg, props, make_grid(gen), RngStream(46),
-                                     training=True)
+        grid = None if variant == "actor_only" else make_grid(gen)
+        logits = mdl.forward_actions(params, cfg, props, grid, RngStream(46), training=True)
         sigma, targets = matched_targets(gts, props, LossConfig())
         loss = set_loss(logits, sigma, targets, LossConfig())
         ad.backward(loss)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -10,9 +11,9 @@ from sceneact import autodiff as ad
 from sceneact import longterm, matching
 from sceneact import model as mdl
 from sceneact import training
-from sceneact.checkpoint import params_hash
+from sceneact.checkpoint import load_checkpoint, params_hash, save_checkpoint
 from sceneact.config import config_from_dict
-from sceneact.errors import DimensionError
+from sceneact.errors import DimensionError, ValidationError
 from sceneact.longterm import WindowingConfig
 from sceneact.matching import LossConfig, matched_targets, set_loss
 from sceneact.rng import RngStream
@@ -160,6 +161,27 @@ class TestShortTermTraining:
         for p, q in zip(loaded.params.parameters(), state.params.parameters()):
             assert np.array_equal(p.value.data, q.value.data)
 
+    @pytest.mark.parametrize("offsets_shape,weights", [
+        ([], np.ones((1, MODEL.num_classes))),
+        ([1], np.ones((1, 2))),
+    ], ids=["scalar_offsets", "too_few_classes"])
+    def test_malformed_aggregation_section_refused(self, dataset, tmp_path, offsets_shape,
+                                                   weights):
+        path = tmp_path / "state.ckpt"
+        save_train_state(path, run(dataset, opt_cfg(epochs=1)), MODEL, SCENARIO)
+        sections, meta = load_checkpoint(path)
+        sections["aggregation"] = {"offsets": np.zeros(1), "weights": weights}
+        save_checkpoint(path, sections, meta)
+        raw = path.read_bytes()
+        nl = raw.index(b"\n")
+        header = json.loads(raw[:nl])
+        for entry in header["entries"]:
+            if (entry["section"], entry["name"]) == ("aggregation", "offsets"):
+                entry["shape"] = offsets_shape  # [] reads back as a 0-d array
+        path.write_bytes(json.dumps(header).encode() + raw[nl:])
+        with pytest.raises(ValidationError, match="aggregation/"):
+            load_train_state(path, opt_cfg())
+
 
 class TestLongTermTraining:
     def test_frozen_phase_and_report(self, dataset):
@@ -187,29 +209,31 @@ class TestLongTermTraining:
 
 
 class TestSceneBlind:
-    """``use_scene=False``, the actor-only ablation, never reads the scene timeline."""
+    """The ``actor_only`` variant, the scene-blind ablation, never reads the scene timeline."""
+
+    BLIND = dataclasses.replace(MODEL, variant="actor_only")
 
     def test_predictions_ignore_timeline(self, dataset):
-        params = mdl.init_params(MODEL, SCENARIO.actor_dim, SCENE_DIM, RngStream(5))
         clip = dataset.eval[0]
         noise = np.random.default_rng(0).standard_normal(clip.timeline.shape)
         other = dataclasses.replace(clip, timeline=noise)
 
-        def scores(c, use_scene):
-            grid = (keyframe_grid(c, WINDOW.t_before, WINDOW.t_after)
-                    if use_scene else None)
+        def scores(c, cfg):
+            params = mdl.init_params(cfg, SCENARIO.actor_dim, SCENE_DIM, RngStream(5))
+            grid = (None if cfg.variant == "actor_only"
+                    else keyframe_grid(c, WINDOW.t_before, WINDOW.t_after))
             with ad.no_grad():
-                return longterm.action_scores(params, MODEL, c.proposals, grid)
+                return longterm.action_scores(params, cfg, c.proposals, grid)
 
-        blind = [scores(c, use_scene=False) for c in (clip, other)]
-        seeing = [scores(c, use_scene=True) for c in (clip, other)]
+        blind = [scores(c, self.BLIND) for c in (clip, other)]
+        seeing = [scores(c, MODEL) for c in (clip, other)]
         np.testing.assert_array_equal(blind[0], blind[1])
         assert not np.array_equal(seeing[0], seeing[1])
 
     def test_one_epoch_has_finite_losses(self, dataset):
         log_lines = []
-        state = train_short_term(dataset, MODEL, LossConfig(), opt_cfg(epochs=1), RngStream(5),
-                                 windowing=WINDOW, use_scene=False, log_lines=log_lines)
+        state = train_short_term(dataset, self.BLIND, LossConfig(), opt_cfg(epochs=1),
+                                 RngStream(5), windowing=WINDOW, log_lines=log_lines)
         losses = [float(l.split()[3]) for l in log_lines if l.startswith("step")]
         assert len(losses) == 3 and np.all(np.isfinite(losses))
         assert state.epoch == 1 and np.isfinite(state.history[0][1])
@@ -223,11 +247,13 @@ class TestSceneBlind:
             return real_grid(clip, *args)
 
         monkeypatch.setattr(training, "keyframe_grid", counting_grid)
-        state = train_short_term(dataset, MODEL, LossConfig(), opt_cfg(epochs=1), RngStream(5),
-                                 windowing=WINDOW, use_scene=False)
+        state = train_short_term(dataset, self.BLIND, LossConfig(), opt_cfg(epochs=1),
+                                 RngStream(5), windowing=WINDOW)
+        evaluate_short_term(state.params, self.BLIND, dataset.eval[:1], SCENARIO, WINDOW)
         assert calls == []
-        # the patched name is the one a scene-aware run goes through
-        evaluate_short_term(state.params, MODEL, dataset.eval[:1], SCENARIO, WINDOW)
+        # the patched name is the one a scene-reading model goes through
+        unified = mdl.init_params(MODEL, SCENARIO.actor_dim, SCENE_DIM, RngStream(5))
+        evaluate_short_term(unified, MODEL, dataset.eval[:1], SCENARIO, WINDOW)
         assert calls == [dataset.eval[0].clip_id]
 
 
