@@ -24,6 +24,13 @@ terms alike, and shares its formulas with the primitives through private
 helpers. Fewer nodes mean fewer Python round trips per clip, which is
 what limits the worker threads: they hold the interpreter lock between
 numpy calls.
+
+Window stacks cut them further at inference: ``matmul``, ``linear``,
+``attention`` and ``transpose`` (of the last two axes) also take a (B, m, n)
+stack of B windows' matrices, each window's values equal to its own call
+bit for bit (the elementwise, ``layer_norm``, ``concat`` and ``narrow`` ops
+take any shape). Their backwards are 2-D, so recording a stack raises
+``ContractError``.
 """
 
 from __future__ import annotations
@@ -151,15 +158,26 @@ class Parameter:
 # operations
 
 
-def _check_2d(a: Tensor, b: Tensor, op: str):
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError(f"{op} expects 2-D tensors, got {a.shape} and {b.shape}")
+def _stacked(op: str, *ts: Tensor):
+    """Refuse a window stack among the operands where the op would record."""
+    for t in ts:  # a plain loop: this runs on every training op
+        if t.data.ndim > 2 and _recording and any(t.requires_grad for t in ts):
+            raise ContractError(f"{op}: a window stack is inference-only; run it under no_grad")
+
+
+def _matrices(op: str, *ts: Tensor):
+    """Refuse operands other than matrices and window stacks, and a stack the op would record."""
+    for t in ts:
+        if t.data.ndim not in (2, 3):
+            raise DimensionError(f"{op} expects 2-D tensors or window stacks, got "
+                                 f"{' and '.join(str(t.shape) for t in ts)}")
+    _stacked(op, *ts)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of a [m,k] and b [k,n]."""
-    _check_2d(a, b, "matmul")
-    if a.shape[1] != b.shape[0]:
+    """Matrix product of a [m,k] and b [k,n]; either may be a window stack."""
+    _matrices("matmul", a, b)
+    if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     out = a.data @ b.data
 
@@ -171,13 +189,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Dense layer over the rows of x [m, k]: x wᵀ + b, with w [n, k] and b [n].
+    """Dense layer over the rows of x [m, k] or of each window of x [B, m, k]: x wᵀ + b,
+    with w [n, k] and b [n].
 
     One node, equal bit for bit to ``add_rowvec(matmul(x, transpose(w)), b)``.
     """
-    _check_2d(x, w, "linear")
-    if x.shape[1] != w.shape[1] or b.data.shape != (w.shape[0],):
+    if (x.data.ndim not in (2, 3) or w.data.ndim != 2 or x.shape[-1] != w.shape[1]
+            or b.data.shape != (w.shape[0],)):
         raise DimensionError(f"linear: rows {x.shape}, weight {w.shape}, bias {b.shape}")
+    _stacked("linear", x, w, b)
     wt = w.data.T.copy()
     out = x.data @ wt
     out += b.data
@@ -227,9 +247,9 @@ def mul_rowvec(x: Tensor, v: Tensor) -> Tensor:
 
 
 def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise DimensionError(f"transpose expects a 2-D tensor, got {x.shape}")
-    return _wrap(x.data.T.copy(), (x,), lambda g: (g.T,))
+    """Swap the last two axes of a matrix or window stack."""
+    _matrices("transpose", x)
+    return _wrap(x.data.swapaxes(-1, -2).copy(), (x,), lambda g: (g.T,))
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
@@ -449,28 +469,32 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, rate: float, rng: Rng
     node equal bit for bit to the narrow / transpose / matmul / softmax /
     dropout / concat composition. Heads run one at a time, so no
     (heads, m, n) stack is formed, and without recording no head's arrays
-    outlive its turn.
+    outlive its turn. Window stacks q [B, m, d], k, v [B, n, d] run this
+    body once per window, in order.
     """
-    if q.data.ndim != 2 or k.data.ndim != 2 or k.shape != v.shape or k.shape[1] != q.shape[1]:
+    _matrices("attention", q, k, v)
+    if k.shape != v.shape or q.shape[:-2] != k.shape[:-2] or k.shape[-1] != q.shape[-1]:
         raise DimensionError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
-    if heads < 1 or q.shape[1] % heads:
-        raise DimensionError(f"attention: {heads} heads do not divide width {q.shape[1]}")
+    if heads < 1 or q.shape[-1] % heads:
+        raise DimensionError(f"attention: {heads} heads do not divide width {q.shape[-1]}")
     drops = _drops(rate, training)
     record = _recording and (q.requires_grad or k.requires_grad or v.requires_grad)
-    dh = q.shape[1] // heads
+    dh = q.shape[-1] // heads
     cols = [slice(h * dh, (h + 1) * dh) for h in range(heads)]
-    kt = k.data.T.copy()  # head h's k_hᵀ is the contiguous row block kt[cols[h]]
     out = np.empty(q.shape)
     saved = []  # per head: softmax output, dropout mask, dropped weights
-    for h, c in enumerate(cols):
-        y = _softmax(q.data[:, c] @ kt[c], -1)
-        if sink is not None:
-            sink.append((layer, h, y.copy()))
-        mask = _dropout_mask(y.shape, rate, rng.child(0, h)) if drops else None
-        w = y * mask if drops else y
-        out[:, c] = w @ v.data[:, c]
-        if record:
-            saved.append((y, mask, w))
+    windows = (t.reshape(-1, *t.shape[-2:]) for t in (q.data, k.data, v.data, out))
+    for qw, kw, vw, ow in zip(*windows):  # only one window is ever recorded: bwd reads its kt
+        kt = kw.T.copy()  # head h's k_hᵀ is the contiguous row block kt[cols[h]]
+        for h, c in enumerate(cols):
+            y = _softmax(qw[:, c] @ kt[c], -1)
+            if sink is not None:
+                sink.append((layer, h, y.copy()))
+            mask = _dropout_mask(y.shape, rate, rng.child(0, h)) if drops else None
+            w = y * mask if drops else y
+            ow[:, c] = w @ vw[:, c]
+            if record:
+                saved.append((y, mask, w))
 
     def bwd(g):
         dq, dk, dv = [], [], []

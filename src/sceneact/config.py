@@ -2,7 +2,9 @@
 
 Loading is strict: unknown keys anywhere in the document are rejected
 (silent typos are the dominant config failure mode), so are NaN and
-infinite numbers, and each section checks its own bounds. Every command
+infinite numbers, and each section checks its own bounds. A section
+overrides only the keys it names; the rest keep ``RunConfig()``'s values,
+so a partial model section edits the desk model. Every command
 logs the fully resolved configuration it ran with, plus a stable hash of
 it.
 """
@@ -25,7 +27,7 @@ from .training import OptimizerConfig
 
 # Desk-scale model: small enough to train on a CPU in minutes. The
 # ModelConfig class defaults stay at the published architecture table;
-# override the model section to reproduce it.
+# state all of its sizes in the model section to reproduce it.
 DESK_MODEL = ModelConfig(embed_dim=64, layers=2, heads=4, ffn_dim=128)
 
 
@@ -70,12 +72,12 @@ def _coerce(value, path: str):
     raise ConfigError(f"{path}: unsupported value {value!r}")
 
 
-def _build_section(cls, data: dict, path: str):
+def _build_section(default, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object")
     kwargs = {k: _coerce(v, f"{path}.{k}") for k, v in data.items()}
     try:
-        return cls(**kwargs)
+        return dataclasses.replace(default, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -100,11 +102,10 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ConfigError("scenario.seed is derived from the top-level seed; set that instead")
     kwargs = {"seed": seed}
     defaults = RunConfig()
-    for name, cls in _SECTIONS.items():
+    for name in _SECTIONS:
+        kwargs[name] = getattr(defaults, name)
         if name in data:
-            kwargs[name] = _build_section(cls, data[name], name)
-        else:
-            kwargs[name] = getattr(defaults, name)
+            kwargs[name] = _build_section(kwargs[name], data[name], name)
     kwargs["scenario"] = dataclasses.replace(kwargs["scenario"], seed=seed)
     return RunConfig(**kwargs)
 

@@ -133,14 +133,14 @@ class WindowedScores:
     scores: np.ndarray  # (num_windows, num_classes, K) post-sigmoid
 
 
+# one worker per usable CPU: the process's CPU affinity, where the platform has one
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 @functools.cache
 def _window_pool() -> ThreadPoolExecutor:
-    """The process's worker threads, one per usable CPU, made on first use."""
-    try:
-        workers = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        workers = os.cpu_count() or 1
-    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="sceneact-worker")
+    """The process's ``_WORKERS`` worker threads, made on first use."""
+    return ThreadPoolExecutor(max_workers=_WORKERS, thread_name_prefix="sceneact-worker")
 
 
 def map_on_pool(fn, jobs) -> list:
@@ -154,7 +154,8 @@ def map_on_pool(fn, jobs) -> list:
 
 
 def action_scores(params: mdl.ModelParams, cfg: mdl.ModelConfig, proposals, grid) -> np.ndarray:
-    """Inference forward of one proposal set on one grid: (num_classes, K) post-sigmoid scores."""
+    """Post-sigmoid scores of one proposal set on one grid, (num_classes, K), or on a
+    (B, C', N) grid stack, (B, num_classes, K)."""
     logits = mdl.forward_actions(params, cfg, proposals, grid, RngStream(0), training=False)
     return ad._sigmoid(logits.data)
 
@@ -167,16 +168,21 @@ def run_windowed(
 ) -> WindowedScores:
     """Inference over every window; boxes and proposals stay the keyframe's.
 
-    Grids are built here, in window order (so are their clamp log lines);
-    the forwards run through ``map_on_pool``. Each window runs the same ops
-    as a serial loop, so the scores are bit-identical to one.
+    Grids are built here, in window order (so are their clamp log lines).
+    Contiguous runs of them go to ``map_on_pool`` as window stacks: the most
+    runs, a multiple of the worker count, of at least two windows each (13
+    windows on 2 workers: 3, 2, 2, 2, 2, 2), else one run per worker or window.
+    A stack's windows share each numpy call, so the workers trade the
+    interpreter lock less often; scores are bit-identical to a serial loop's.
     """
-    jobs = [(params, cfg, clip.proposals, window_grid(clip, interval))
-            for _n, interval in windows(windowing, clip.keyframe_time)]
+    grids = np.stack([window_grid(clip, interval)
+                      for _n, interval in windows(windowing, clip.keyframe_time)])
+    runs = min(len(grids), _WORKERS * max(1, len(grids) // (2 * _WORKERS)))
+    jobs = [(params, cfg, clip.proposals, stack) for stack in np.array_split(grids, runs)]
     # no_grad is process-wide: entered once here, it covers every worker
     with ad.no_grad():
         scores = map_on_pool(action_scores, jobs)
-    return WindowedScores(clip, tuple(windowing.offsets), np.stack(scores))
+    return WindowedScores(clip, tuple(windowing.offsets), np.concatenate(scores))
 
 
 def _strategy_weights(scores: np.ndarray, strategy: str, weights: AggregationWeights | None,

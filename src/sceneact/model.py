@@ -31,6 +31,9 @@ The unified stack's last block queries with the K actor rows, the only
 rows the head reads; its keys and values still cover all K + N tokens.
 This is exact: all but keys and values is row-wise, and Philox fills in C
 order, so a (K, ...) dropout mask is the first K rows of the (K + N, ...) one.
+Dropout streams are derived from the forward's ``rng`` only when training.
+At inference, ``forward_actions`` also takes a (B, C', N) stack of B window
+grids, which runs each op once per stack (``autodiff``'s window stacks).
 """
 
 from __future__ import annotations
@@ -224,18 +227,23 @@ def embed_actors(proposals, params: ModelParams) -> Tensor:
 
 
 def embed_scene(grid: np.ndarray, params: ModelParams) -> Tensor:
-    """Project the (C', N) scene token matrix and add the positional code."""
+    """Project the (C', N) scene token matrix (or each of a stack); add the positional code."""
     f_v = np.asarray(grid, dtype=np.float64)
     d, c = params.scene_proj.shape
-    if f_v.shape[0] != c:
-        raise DimensionError(f"scene token length {f_v.shape[0]}, expected {c}")
+    if f_v.ndim not in (2, 3) or f_v.shape[-2] != c:
+        raise DimensionError(f"scene tokens of shape {f_v.shape}, expected ({c}, N)")
     proj = ad.matmul(params.scene_proj.value, Tensor(f_v))
-    pe = Tensor(sinusoidal_pe(f_v.shape[1], d))
+    pe = Tensor(np.broadcast_to(sinusoidal_pe(f_v.shape[-1], d), proj.shape))
     return ad.add(proj, pe)
 
 
 # ---------------------------------------------------------------------------
-# attention stacks (row-token layout internally: (tokens, D))
+# attention stacks (row-token layout internally: (tokens, D), or (B, tokens, D))
+
+
+def _child(rng: RngStream, training: bool, *indices: int) -> RngStream:
+    """``rng.child(*indices)`` when training; inference draws no dropout, so it derives nothing."""
+    return rng.child(*indices) if training else rng
 
 
 def _mha(
@@ -254,13 +262,13 @@ def _mha(
     v = ad.linear(kv_rows, attn.wv.value, attn.bv.value)
     merged = ad.attention(q, k, v, cfg.heads, cfg.dropout, rng, training, sink, layer)
     out = ad.linear(merged, attn.wo.value, attn.bo.value)
-    return ad.dropout(out, cfg.dropout, rng.child(1), training)
+    return ad.dropout(out, cfg.dropout, _child(rng, training, 1), training)
 
 
 def _mlp(x: Tensor, blk, cfg: ModelConfig, rng: RngStream, training: bool) -> Tensor:
     h = ad.gelu(ad.linear(x, blk.w1.value, blk.b1.value))
     out = ad.linear(h, blk.w2.value, blk.b2.value)
-    return ad.dropout(out, cfg.dropout, rng.child(2), training)
+    return ad.dropout(out, cfg.dropout, _child(rng, training, 2), training)
 
 
 def _block(
@@ -284,8 +292,8 @@ def _block(
         normed = ad.layer_norm(x, gain.value, bias.value, LAYER_NORM_EPS)
         kv = normed if src is None else ad.layer_norm(src, gain.value, bias.value, LAYER_NORM_EPS)
         own = i == last
-        x = ad.add(x, _mha(normed, kv, attn, cfg, rng if own else rng.child(10 + i), training,
-                           sink if own else None, layer))
+        x = ad.add(x, _mha(normed, kv, attn, cfg, rng if own else _child(rng, training, 10 + i),
+                           training, sink if own else None, layer))
     normed = ad.layer_norm(x, blk.ln_mlp_gain.value, blk.ln_mlp_bias.value, LAYER_NORM_EPS)
     return ad.add(x, _mlp(normed, blk, cfg, rng, training))
 
@@ -302,15 +310,15 @@ def encode(
     """Run the self-attention stack over all K + N tokens; returns refined actor tokens (D, K)."""
     if cfg.variant not in SELF_STACK:
         raise ContractError(f"encode handles the {SELF_STACK} variants, not {cfg.variant!r}")
-    x = actor_tokens if scene_tokens is None else ad.concat([actor_tokens, scene_tokens], axis=1)
+    x = actor_tokens if scene_tokens is None else ad.concat([actor_tokens, scene_tokens], axis=-1)
     x = ad.transpose(x)  # (K+N, D)
     last = len(params.blocks) - 1
     for l, blk in enumerate(params.blocks[:last]):
-        x = _block(x, blk, [None], cfg, rng.child(l), training, attn_sink, l)
-    actors = ad.narrow(x, 0, 0, actor_tokens.shape[1])
+        x = _block(x, blk, [None], cfg, _child(rng, training, l), training, attn_sink, l)
+    actors = ad.narrow(x, -2, 0, actor_tokens.shape[-1])
     if last >= 0:
-        actors = _block(actors, params.blocks[last], [x], cfg, rng.child(last), training,
-                        attn_sink, last)
+        actors = _block(actors, params.blocks[last], [x], cfg, _child(rng, training, last),
+                        training, attn_sink, last)
     return ad.transpose(actors)
 
 
@@ -329,10 +337,10 @@ def encode_variant(
     a = ad.transpose(actor_tokens)
     s = ad.transpose(scene_tokens)
     for l, blk in enumerate(params.scene_blocks):  # encoder_decoder only
-        s = _block(s, blk, [None], cfg, rng.child(100 + l), training, None, l)
+        s = _block(s, blk, [None], cfg, _child(rng, training, 100 + l), training, None, l)
     sources = [s] if cfg.variant == "decoder_only" else [None, s]
     for l, blk in enumerate(params.blocks):
-        a = _block(a, blk, sources, cfg, rng.child(l), training, attn_sink, l)
+        a = _block(a, blk, sources, cfg, _child(rng, training, l), training, attn_sink, l)
     return ad.transpose(a)
 
 
@@ -358,12 +366,16 @@ def forward_actions(
     ``grid`` is ``synthdata.window_grid``'s (C', N) token matrix for the
     scene-reading variants, and None for ``actor_only``, whose stack then
     sees only the K actor columns; any other pairing is a ``ContractError``.
+    At inference, a (B, C', N) stack of grids gives (B, num_classes, K) logits,
+    each window's equal to its own forward bit for bit; the actors are embedded once.
     """
     if (grid is None) != (cfg.variant == "actor_only"):
         raise ContractError(
             f"variant {cfg.variant!r} takes {'a' if grid is None else 'no'} scene grid")
     a = embed_actors(proposals, params)
     v = embed_scene(grid, params) if grid is not None else None
+    if v is not None and v.data.ndim == 3:  # a stack, so nothing records: copy the actors
+        a = Tensor(np.broadcast_to(a.data, (v.shape[0], *a.shape)))
     if cfg.variant in SELF_STACK:
         actors = encode(a, v, params, cfg, rng, training, attn_sink)
     else:

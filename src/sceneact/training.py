@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -395,13 +396,13 @@ def load_train_state(path, opt_cfg: OptimizerConfig) -> tuple[TrainState, ModelC
     opt.load_state_arrays(_section(path, sections, "optimizer", opt.state_arrays()))
     progress = _section(path, sections, "progress",
                         {k: np.zeros(1) for k in ("epoch", "step", "best_map")})
-    state = TrainState(
-        params,
-        opt,
-        epoch=int(progress["epoch"][0]),
-        step=int(progress["step"][0]),
-        best_map=float(progress["best_map"][0]),
-    )
+    epoch, step, best_map = (float(progress[k][0]) for k in ("epoch", "step", "best_map"))
+    for key, value in (("epoch", epoch), ("step", step)):
+        if not (value >= 0 and value.is_integer()):
+            raise ValidationError(f"checkpoint {path}: progress/{key} is {value}, not a count")
+    if not math.isfinite(best_map):
+        raise ValidationError(f"checkpoint {path}: progress/best_map is {best_map}")
+    state = TrainState(params, opt, epoch=int(epoch), step=int(step), best_map=best_map)
     if "aggregation" in sections:
         n = np.size(sections["aggregation"].get("offsets", ()))
         agg = _section(path, sections, "aggregation",
@@ -428,7 +429,8 @@ def _section(path, sections: dict, name: str, like: dict[str, np.ndarray]) -> di
 
 
 def _cfg_from_meta(cls, meta: dict, section: str, path):
-    """Rebuild a config from checkpoint metadata whose keys are exactly the class's fields."""
+    """Rebuild a config from checkpoint metadata whose keys are exactly the class's fields,
+    each of the type of its default value (an int standing for a float)."""
     names = {f.name for f in fields(cls)}
     data = meta.get(section, {})
     if not isinstance(data, dict):
@@ -437,4 +439,14 @@ def _cfg_from_meta(cls, meta: dict, section: str, path):
     if unknown or missing:
         raise ValidationError(f"checkpoint {path}: {section} metadata has unknown keys "
                               f"{unknown} and missing keys {missing}")
-    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
+    values = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
+    defaults = cls()
+    for key, value in values.items():
+        want = type(getattr(defaults, key))
+        if type(value) is not want and not (want is float and type(value) is int):
+            raise ValidationError(f"checkpoint {path}: {section}.{key} is {value!r}, "
+                                  f"not a {want.__name__}")
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:  # a bound the class checks, or a bad tuple item
+        raise ValidationError(f"checkpoint {path}: {section} metadata: {exc}") from exc

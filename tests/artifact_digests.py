@@ -3,8 +3,10 @@
 Runs ``generate`` -> ``train`` -> ``train --phase long`` ->
 ``eval --topk --threshold 0.5 --strategy weighted --strategy avg
 --strategy max`` -> ``inspect`` in a temporary directory, on a seed-7
-scenario of 40 train and 12 eval clips trained for 2 epochs, then the
-actor_only ablation's ``train`` and ``eval --topk`` on the same data
+scenario of 40 train and 12 eval clips trained for 2 epochs, then
+``eval --support 4.1 --support 14.1`` on the short phase's best
+checkpoint (``support/``: 3 and 13 windows), then the actor_only
+ablation's ``train`` and ``eval --topk`` on the same data
 (``config_actor_only.json``, ``blind/`` and ``blind_eval/``). It prints
 ``<sha256>  <path>`` for every file the run wrote, paths relative to the
 run directory. Two checkouts whose outputs should be byte-identical print
@@ -31,9 +33,7 @@ from sceneact.cli import main  # noqa: E402
 
 CONFIG = {"seed": 7, "scenario": {"train_clips": 40, "eval_clips": 12},
           "optimizer": {"epochs": 2}}
-# a model section starts from the published sizes; these are the default run's
-BLIND_MODEL = {"embed_dim": 64, "layers": 2, "heads": 4, "ffn_dim": 128,
-               "variant": "actor_only"}
+BLIND_MODEL = {"variant": "actor_only"}  # the default run's sizes
 
 
 def run(root: Path) -> None:
@@ -41,8 +41,9 @@ def run(root: Path) -> None:
     cfg.write_text(json.dumps(CONFIG))
     blind_cfg = root / "config_actor_only.json"
     blind_cfg.write_text(json.dumps(dict(CONFIG, model=BLIND_MODEL)))
-    data, short, long, evals, blind, blind_evals = (
-        str(root / d) for d in ("data", "short", "long", "eval", "blind", "blind_eval"))
+    data, short, long, evals, support, blind, blind_evals = (
+        str(root / d)
+        for d in ("data", "short", "long", "eval", "support", "blind", "blind_eval"))
     commands = [
         ["generate", "--config", str(cfg), "--out", data],
         ["train", "--dataset", data, "--out", short],
@@ -53,6 +54,8 @@ def run(root: Path) -> None:
          "--strategy", "weighted", "--strategy", "avg", "--strategy", "max"],
         ["inspect", "--dataset", data, "--checkpoint", f"{short}/best.ckpt",
          "--clip", "eval_0000", "--attention", str(root / "inspect" / "attention.csv")],
+        ["eval", "--dataset", data, "--checkpoint", f"{short}/best.ckpt", "--out", support,
+         "--support", "4.1", "--support", "14.1"],
         ["train", "--config", str(blind_cfg), "--dataset", data, "--out", blind],
         ["eval", "--dataset", data, "--checkpoint", f"{blind}/best.ckpt", "--out", blind_evals,
          "--topk"],

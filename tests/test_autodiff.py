@@ -500,3 +500,41 @@ class TestFusedOps:
         joined = ad._join_heads(blocks, (2, 2 * heads))
         assert joined.tobytes() == functools.reduce(np.add, padded).tobytes()
         assert np.signbit(joined[joined == 0.0]).any() == (heads == 1)  # -0 survives one head
+
+
+class TestWindowStacks:
+    """Ops on a (B, m, n) window stack equal their per-window calls, and never record."""
+
+    def test_linear_equals_per_window_calls_bitwise(self):
+        x = rand((3, 5, 8), 40)
+        w, b = ad.Tensor(rand((6, 8), 41)), ad.Tensor(rand((6,), 42))
+        out = ad.linear(ad.Tensor(x), w, b)
+        assert out.shape == (3, 5, 6)
+        assert out.data.tobytes() == np.stack([ad.linear(ad.Tensor(xw), w, b).data
+                                               for xw in x]).tobytes()
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_attention_equals_per_window_calls_bitwise(self, heads):
+        q, k, v = rand((3, 5, 8), 43), rand((3, 7, 8), 44), rand((3, 7, 8), 45)
+        stack_sink, window_sink = [], []
+        out = ad.attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), heads, 0.0, RngStream(0),
+                           False, stack_sink, 2)
+        single = [ad.attention(ad.Tensor(qw), ad.Tensor(kw), ad.Tensor(vw), heads, 0.0,
+                               RngStream(0), False, window_sink, 2).data
+                  for qw, kw, vw in zip(q, k, v)]
+        assert out.data.tobytes() == np.stack(single).tobytes()
+        assert [(layer, h, y.tobytes()) for layer, h, y in stack_sink] == \
+            [(layer, h, y.tobytes()) for layer, h, y in window_sink]
+
+    def test_recording_a_stack_raises(self):
+        x = ad.Parameter("x", rand((2, 3, 4), 46))
+        w, b = ad.Tensor(rand((4, 4), 47)), ad.Parameter("b", rand((4,), 48)).value
+        ops = [lambda t: ad.linear(t, w, b), lambda t: ad.linear(ad.Tensor(t.data), w, b),
+               lambda t: ad.attention(t, t, t, 2, 0.0, RngStream(0), False), ad.transpose,
+               lambda t: ad.matmul(ad.Tensor(rand((5, 3), 49)), t)]
+        for op in ops:
+            with pytest.raises(ContractError, match="inference-only"):
+                op(x.value)
+        with ad.no_grad():
+            for op in ops:
+                assert not op(x.value).requires_grad

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 
 from sceneact import cli, synthdata
+from sceneact import model as mdl
 from sceneact.checkpoint import load_checkpoint, save_checkpoint
 from sceneact.cli import main
-from sceneact.config import config_from_dict, config_hash, load_config
+from sceneact.config import RunConfig, config_from_dict, config_hash, load_config
 from sceneact.errors import ConfigError, NanLossError
 
 
@@ -92,6 +94,13 @@ class TestConfigLoading:
     def test_missing_file_names_path(self, tmp_path):
         with pytest.raises(ConfigError, match="nope.json"):
             load_config(tmp_path / "nope.json")
+
+    def test_partial_section_keeps_the_run_defaults(self):
+        defaults = RunConfig()
+        cfg = config_from_dict({"model": {"variant": "actor_only"}, "optimizer": {"epochs": 3}})
+        assert cfg.model == dataclasses.replace(defaults.model, variant="actor_only")
+        assert cfg.model.embed_dim != mdl.ModelConfig().embed_dim  # the desk size, not the table's
+        assert cfg.optimizer == dataclasses.replace(defaults.optimizer, epochs=3)
 
     @pytest.mark.parametrize("key,value", [
         ("heads", 0), ("heads", -4), ("layers", -2), ("dropout", 1.0), ("dropout", -0.1),
@@ -630,6 +639,38 @@ class TestMalformedFiles:
         self.edit_sections(out_dir / "best.ckpt", bad, widen)
         err = self.run_eval(data_dir, bad, tmp_path / "x", capsys)
         assert f"{section}/{name} has shape" in err
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "embed_dim", "x"), ("model", "heads", 2.5), ("model", "variant", 3),
+        ("model", "layers", True), ("scenario", "num_actors", 2),
+        ("scenario", "num_actors", ["a", 2]), ("model", "embed_dim", 0),
+    ], ids=str)
+    def test_metadata_value_refused(self, workspace, tmp_path, capsys, section, key, value):
+        _root, _cfg, data_dir, out_dir = workspace
+        bad = tmp_path / "bad.ckpt"
+
+        def set_value(header):
+            header["meta"][section][key] = value
+            return header
+
+        self.edit_header(out_dir / "best.ckpt", bad, set_value)
+        err = self.run_eval(data_dir, bad, tmp_path / "x", capsys)
+        assert str(bad) in err and key in err
+
+    @pytest.mark.parametrize("name,value", [
+        ("epoch", np.nan), ("epoch", -1.0), ("epoch", 2.5), ("step", np.inf),
+        ("best_map", np.nan),
+    ], ids=str)
+    def test_progress_value_refused(self, workspace, tmp_path, capsys, name, value):
+        _root, _cfg, data_dir, out_dir = workspace
+        bad = tmp_path / "bad.ckpt"
+
+        def set_value(sections):
+            sections["progress"][name] = np.array([value])
+
+        self.edit_sections(out_dir / "best.ckpt", bad, set_value)
+        err = self.run_eval(data_dir, bad, tmp_path / "x", capsys)
+        assert str(bad) in err and f"progress/{name}" in err
 
 
 class TestActorOnly:

@@ -190,6 +190,7 @@ def two_window_workers(monkeypatch):
     """Two workers for run_windowed, so windows overlap even on one CPU."""
     pool = ThreadPoolExecutor(max_workers=2)
     monkeypatch.setattr(longterm, "_window_pool", lambda: pool)
+    monkeypatch.setattr(longterm, "_WORKERS", 2)
     yield pool
     pool.shutdown(wait=True)
 
@@ -210,6 +211,32 @@ class TestParallelWindows:
                                              training=False)
                 serial.append(ad._sigmoid(logits.data))
         assert np.array_equal(ws.scores, np.stack(serial))
+
+    @pytest.mark.parametrize("variant,support,jobs", [
+        ("decoder_only", 14.1, [3, 2, 2, 2, 2, 2]),
+        ("unified", 2.1, [1]),  # the short-term windowing
+        ("unified", 4.1, [2, 1]),
+    ])
+    def test_window_stacks_equal_serial_loop_bitwise(self, two_window_workers, monkeypatch,
+                                                     variant, support, jobs):
+        scenario = small_scenario(momentary_fraction=1.0)
+        cfg, params = tiny_model(scenario, layers=2, variant=variant)
+        clip = generate_clip(scenario, RngStream(905).child(0, 2), "c5", 0.0)
+        windowing = WindowingConfig.from_support(support)
+        sizes = []
+        scores = longterm.action_scores
+
+        def counted(*job):
+            sizes.append(len(job[3]))
+            return scores(*job)
+
+        monkeypatch.setattr(longterm, "action_scores", counted)
+        ws = run_windowed(params, cfg, clip, windowing)
+        with ad.no_grad():
+            serial = [scores(params, cfg, clip.proposals, window_grid(clip, interval))
+                      for _n, interval in windows(windowing, clip.keyframe_time)]
+        assert sorted(sizes, reverse=True) == jobs
+        assert ws.scores.tobytes() == np.stack(serial).tobytes()
 
     def test_window_error_propagates_and_recording_resumes(self, two_window_workers):
         scenario = small_scenario()

@@ -639,3 +639,41 @@ class TestFullForwardGradient:
                     stack.append(parent)
         leaves = {id(p.value) for p in params.parameters()}
         assert holders and set(holders) <= leaves
+
+
+class TestWindowStacks:
+    """A (B, C', N) grid stack scores like B single-grid forwards, at inference only."""
+
+    @pytest.mark.parametrize("variant", ["unified", "decoder_only", "encoder_decoder"])
+    @pytest.mark.parametrize("windows", [1, 2, 3])
+    def test_stack_equals_per_window_forwards_bitwise(self, variant, windows):
+        cfg = tiny_cfg(variant=variant, dropout=0.3)
+        params = mdl.init_params(cfg, 5, 6, RngStream(70))
+        gen = RngStream(71).generator()
+        props = make_proposals(gen, k=4)
+        grids = [make_grid(gen, h=3, w=3, t=2) for _ in range(windows)]
+        with ad.no_grad():
+            single = [mdl.forward_actions(params, cfg, props, g, RngStream(0)).data
+                      for g in grids]
+            stacked = mdl.forward_actions(params, cfg, props, np.stack(grids), RngStream(0))
+        assert stacked.shape == (windows, 3, 4)
+        assert stacked.data.tobytes() == np.stack(single).tobytes()
+
+    def test_recording_a_stack_raises(self):
+        cfg = tiny_cfg()
+        params = mdl.init_params(cfg, 5, 6, RngStream(72))
+        gen = RngStream(73).generator()
+        props = make_proposals(gen)
+        with pytest.raises(ContractError, match="inference-only"):
+            mdl.forward_actions(params, cfg, props, np.stack([make_grid(gen)] * 2),
+                                RngStream(0))
+
+    @pytest.mark.parametrize("variant", mdl.VARIANTS)
+    def test_inference_derives_no_dropout_stream(self, variant, monkeypatch):
+        cfg = tiny_cfg(variant=variant, dropout=0.3)
+        params = mdl.init_params(cfg, 5, 6, RngStream(74))
+        gen = RngStream(75).generator()
+        props = make_proposals(gen)
+        grid = None if variant == "actor_only" else make_grid(gen)
+        monkeypatch.setattr(RngStream, "child", lambda *a: pytest.fail("derived a stream"))
+        mdl.forward_actions(params, cfg, props, grid, RngStream(0))
