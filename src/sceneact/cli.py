@@ -105,7 +105,7 @@ def _load_dataset_dir(dataset_dir, config_path=None,
         raise ValidationError(f"{manifest_path} is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict) or "config" not in manifest:
         raise ValidationError(f"{manifest_path} has no run config")
-    cfg = config_from_dict(manifest["config"])
+    cfg = config_from_dict(manifest["config"], str(manifest_path))
     if manifest.get("config_hash") != config_hash(cfg):
         raise ValidationError(f"manifest config hash mismatch in {dataset_dir}")
     if config_path:

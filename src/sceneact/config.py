@@ -1,12 +1,15 @@
 """Run configuration: one JSON document covering every subsystem.
 
 Loading is strict: unknown keys anywhere in the document are rejected
-(silent typos are the dominant config failure mode), so are NaN and
-infinite numbers, and each section checks its own bounds. A section
-overrides only the keys it names; the rest keep ``RunConfig()``'s values,
-so a partial model section edits the desk model. Every command
-logs the fully resolved configuration it ran with, plus a stable hash of
-it.
+(silent typos are the dominant config failure mode). ``decode_section``
+is the one decoder for config files, dataset manifests and checkpoint
+metadata: each value must have its default's type (an int may stand for
+a float, a bool is neither, a JSON list becomes a tuple), floats must be
+finite, and each section checks its own bounds; a refusal names its
+source and ``section.key``. A section overrides only the keys it names;
+the rest keep ``RunConfig()``'s values, so a partial model section edits
+the desk model. Every command logs the fully resolved configuration it
+ran with, plus a stable hash of it.
 """
 
 from __future__ import annotations
@@ -59,32 +62,39 @@ _SECTIONS = {
 }
 
 
-def _coerce(value, path: str):
-    # json gives lists; tuple-typed fields take tuples
-    if isinstance(value, list):
-        return tuple(_coerce(v, f"{path}[{i}]") for i, v in enumerate(value))
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{path} must be finite, got {value}")
-    if isinstance(value, (int, float, str)):
-        return value
-    raise ConfigError(f"{path}: unsupported value {value!r}")
+def decode_section(default, data, source: str, prefix: str = ""):
+    """``default`` with the values ``data`` gives for some of its fields.
 
-
-def _build_section(default, data: dict, path: str):
+    Each value must have its default's type: an int may stand for a float,
+    a bool counts as neither, a JSON list becomes a tuple and an object
+    decodes into a nested section. Floats must be finite. The class then
+    checks its own bounds; its errors start with the field they refuse, so
+    every refusal reads ``source: section.key ...``.
+    """
     if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected an object")
-    kwargs = {k: _coerce(v, f"{path}.{k}") for k, v in data.items()}
+        raise ConfigError(f"{source}: {prefix.rstrip('.')}: expected an object")
+    values = {}
+    for key, value in data.items():
+        want = getattr(default, key)
+        if dataclasses.is_dataclass(want):
+            value = decode_section(want, value, source, f"{prefix}{key}.")
+        elif isinstance(value, list):
+            value = tuple(value)
+        if type(value) is not type(want) and not (type(want) is float and type(value) is int):
+            raise ConfigError(f"{source}: {prefix}{key} is {value!r}, "
+                              f"expected {type(want).__name__}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{source}: {prefix}{key} must be finite, got {value}")
+        values[key] = value
     try:
-        return dataclasses.replace(default, **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        return dataclasses.replace(default, **values)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {prefix}{exc}") from exc
 
 
-def config_from_dict(data: dict) -> RunConfig:
+def config_from_dict(data: dict, source: str = "config") -> RunConfig:
     if not isinstance(data, dict):
-        raise ConfigError("configuration root must be an object")
+        raise ConfigError(f"{source}: configuration root must be an object")
     unknown = sorted(set(data) - (set(_SECTIONS) | {"seed"}))
     found = [f"unknown top-level keys {unknown}"] if unknown else []
     for name, cls in _SECTIONS.items():
@@ -94,20 +104,12 @@ def config_from_dict(data: dict) -> RunConfig:
             if keys:
                 found.append(f"{name}: unknown keys {keys}")
     if found:
-        raise ConfigError("; ".join(found))
-    seed = data.get("seed", RunConfig().seed)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
+        raise ConfigError(f"{source}: " + "; ".join(found))
     if isinstance(data.get("scenario"), dict) and "seed" in data["scenario"]:
-        raise ConfigError("scenario.seed is derived from the top-level seed; set that instead")
-    kwargs = {"seed": seed}
-    defaults = RunConfig()
-    for name in _SECTIONS:
-        kwargs[name] = getattr(defaults, name)
-        if name in data:
-            kwargs[name] = _build_section(kwargs[name], data[name], name)
-    kwargs["scenario"] = dataclasses.replace(kwargs["scenario"], seed=seed)
-    return RunConfig(**kwargs)
+        raise ConfigError(f"{source}: scenario.seed is derived from the top-level seed; "
+                          "set that instead")
+    cfg = decode_section(RunConfig(), data, source)
+    return dataclasses.replace(cfg, scenario=dataclasses.replace(cfg.scenario, seed=cfg.seed))
 
 
 def load_config(path) -> RunConfig:
@@ -118,7 +120,7 @@ def load_config(path) -> RunConfig:
         data = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: invalid JSON: {exc}") from exc
-    return config_from_dict(data)
+    return config_from_dict(data, str(p))
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

@@ -59,8 +59,9 @@ class WindowingConfig:
     def __post_init__(self):
         if self.stride <= 0:
             raise ConfigError(f"stride must be positive, got {self.stride}")
-        if min(self.t_before, self.t_after, self.long_before, self.long_after) < 0:
-            raise ConfigError("t_before, t_after, long_before and long_after must be nonnegative")
+        for name in ("t_before", "t_after", "long_before", "long_after"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
     @property
     def offsets(self) -> list[int]:

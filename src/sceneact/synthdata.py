@@ -78,6 +78,8 @@ class ScenarioConfig:
     eval_clips: int = 50
 
     def __post_init__(self):
+        if not 0 <= self.seed < 2**64:  # RngStream keys on the seed's low 64 bits
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         for name in ("false_positive_rate", "false_negative_rate", "momentary_fraction"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
@@ -93,7 +95,7 @@ class ScenarioConfig:
                 f"num_classes must split evenly over {len(CATEGORIES)} categories"
             )
         n = self.num_actors
-        if not (isinstance(n, tuple) and len(n) == 2 and all(isinstance(x, int) for x in n)
+        if not (isinstance(n, tuple) and len(n) == 2 and all(type(x) is int for x in n)
                 and 0 <= n[0] <= n[1]):
             raise ConfigError(f"num_actors must be two integers 0 <= low <= high, got {n}")
         if self.box_jitter < 0:

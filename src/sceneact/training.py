@@ -90,6 +90,13 @@ class OptimizerConfig:
             raise ConfigError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
+        if self.weight_decay < 0:
+            raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
+        if self.decay_factor <= 0:
+            raise ConfigError(f"decay_factor must be positive, got {self.decay_factor}")
+        if self.aggregation_epochs < 0:
+            raise ConfigError(f"aggregation_epochs must be nonnegative, "
+                              f"got {self.aggregation_epochs}")
 
 
 class AdamW:
@@ -429,8 +436,9 @@ def _section(path, sections: dict, name: str, like: dict[str, np.ndarray]) -> di
 
 
 def _cfg_from_meta(cls, meta: dict, section: str, path):
-    """Rebuild a config from checkpoint metadata whose keys are exactly the class's fields,
-    each of the type of its default value (an int standing for a float)."""
+    """Rebuild a config from checkpoint metadata whose keys are exactly the class's fields."""
+    from .config import decode_section
+
     names = {f.name for f in fields(cls)}
     data = meta.get(section, {})
     if not isinstance(data, dict):
@@ -439,14 +447,4 @@ def _cfg_from_meta(cls, meta: dict, section: str, path):
     if unknown or missing:
         raise ValidationError(f"checkpoint {path}: {section} metadata has unknown keys "
                               f"{unknown} and missing keys {missing}")
-    values = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
-    defaults = cls()
-    for key, value in values.items():
-        want = type(getattr(defaults, key))
-        if type(value) is not want and not (want is float and type(value) is int):
-            raise ValidationError(f"checkpoint {path}: {section}.{key} is {value!r}, "
-                                  f"not a {want.__name__}")
-    try:
-        return cls(**values)
-    except (TypeError, ValueError) as exc:  # a bound the class checks, or a bad tuple item
-        raise ValidationError(f"checkpoint {path}: {section} metadata: {exc}") from exc
+    return decode_section(cls(), data, f"checkpoint {path}", f"{section}.")

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -117,10 +118,24 @@ class TestConfigLoading:
         ("scenario", "train_clips", -3), ("scenario", "eval_clips", 0),
         ("optimizer", "lr", float("nan")), ("windowing", "stride", float("nan")),
         ("windowing", "t_before", -0.5), ("windowing", "t_after", -0.5),
+        ("optimizer", "aggregation_epochs", -3), ("optimizer", "weight_decay", -1.0),
+        ("optimizer", "decay_factor", -2.0), ("optimizer", "decay_factor", 0.0),
     ], ids=str)
     def test_run_bounds_rejected(self, section, key, value):
         with pytest.raises(ConfigError, match=key):
             config_from_dict({section: {key: value}})
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 7 + 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # RngStream keys on the low 64 bits, so such a seed would alias another
+        with pytest.raises(ConfigError, match="seed"):
+            config_from_dict({"seed": seed})
+
+    def test_int_stands_for_float_and_list_gives_tuple(self):
+        cfg = config_from_dict({"optimizer": {"lr": 1}, "model": {"dropout": 0},
+                                "scenario": {"num_actors": [1, 3]}})
+        assert (cfg.optimizer.lr, cfg.model.dropout) == (1, 0)
+        assert cfg.scenario.num_actors == (1, 3)
 
 
 class TestGenerate:
@@ -163,6 +178,24 @@ class TestGenerate:
         rc = main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "d")])
         assert rc == 1
         assert "num_classes" in capsys.readouterr().err and not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "embed_dim", "x"), ("model", "heads", 2.5), ("model", "variant", 3),
+        ("model", "layers", True), ("scenario", "num_actors", 2),
+        ("scenario", "num_actors", ["a", 2]), ("model", "embed_dim", 0),
+        ("optimizer", "epochs", 1.5), ("optimizer", "batch_size", True),
+        ("model", "dropout", False), ("optimizer", "lr", None), ("windowing", "t_before", True),
+        ("scenario", "num_actors", [True, 2]),
+    ], ids=str)
+    def test_mistyped_value_exits_1(self, tmp_path, capsys, section, key, value):
+        cfg_path = write_config(tmp_path, dict(TINY, **{section: dict(TINY.get(section, {}),
+                                                                      **{key: value})}))
+        rc = main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "d")])
+        err = capsys.readouterr().err
+        assert rc == 1 and not (tmp_path / "d").exists()
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "Traceback" not in err
+        assert str(cfg_path) in errors[0] and f"{section}.{key}" in errors[0]
 
     def test_refuses_non_empty_dir_without_force(self, workspace, capsys):
         _root, cfg_path, data_dir, _out = workspace
@@ -565,6 +598,30 @@ class TestMalformedFiles:
         (bad / "manifest.json").write_text(json.dumps(manifest))
         err = self.run_eval(bad, out_dir / "best.ckpt", tmp_path / "x", capsys)
         assert "no run config" in err
+
+    def test_train_refuses_mistyped_config(self, workspace, tmp_path, capsys):
+        _root, _cfg, data_dir, _out = workspace
+        cfg_path = write_config(tmp_path, dict(TINY, optimizer=dict(TINY["optimizer"],
+                                                                    epochs=1.5)))
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(cfg_path), "--dataset", str(data_dir),
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and not out.exists() and "Traceback" not in err
+        assert "optimizer.epochs" in err
+
+    def test_manifest_value_refused_before_hash_check(self, workspace, tmp_path, capsys):
+        _root, _cfg, data_dir, out_dir = workspace
+        bad = tmp_path / "data"
+        shutil.copytree(data_dir, bad)
+        manifest = json.loads((bad / "manifest.json").read_text())
+        manifest["config"]["optimizer"]["batch_size"] = True
+        blob = json.dumps(manifest["config"], sort_keys=True).encode("utf-8")
+        manifest["config_hash"] = hashlib.sha256(blob).hexdigest()  # consistent, but mistyped
+        (bad / "manifest.json").write_text(json.dumps(manifest))
+        err = self.run_eval(bad, out_dir / "best.ckpt", tmp_path / "x", capsys)
+        assert str(bad / "manifest.json") in err and "optimizer.batch_size" in err
+        assert "hash mismatch" not in err
 
     @staticmethod
     def edit_header(source, target, edit):
