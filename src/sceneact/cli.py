@@ -2,10 +2,12 @@
 
 Subcommands: ``generate`` (deterministic dataset files), ``train``
 (phase short or long), ``eval`` (ablation sweeps over sampling
-threshold, temporal support, aggregation strategy), ``inspect`` (raw
-attention export for one clip). Exit codes: 0 success, 1 validation or
-configuration error, 2 runtime abort (non-finite loss, with diagnostics
-in ``nan_abort.json`` under ``--out``; I/O failure).
+threshold and aggregation strategy), ``inspect`` (raw attention export
+for one clip). Every ``eval`` strategy fuses the windows that the
+checkpoint's weights were fitted on, so a temporal support is swept by
+fitting at it with ``train --phase long``. Exit codes: 0 success, 1
+validation or configuration error, 2 runtime abort (non-finite loss,
+with diagnostics in ``nan_abort.json`` under ``--out``; I/O failure).
 
 All outputs are pure functions of the config seed; no wall-clock or
 environment state leaks into files.
@@ -34,7 +36,7 @@ from .config import (
 )
 from .errors import ConfigError, ContractError, NanLossError, ValidationError
 from .evaluation import write_report
-from .longterm import STRATEGIES, AggregationWeights, WindowingConfig
+from .longterm import STRATEGIES, AggregationWeights
 from .rng import RngStream
 from .synthdata import (
     Dataset,
@@ -44,7 +46,6 @@ from .synthdata import (
     write_annotations,
 )
 from .training import (
-    TrainState,
     evaluate_longterm,
     evaluate_short_term,
     load_train_state,
@@ -85,7 +86,7 @@ def _load_checkpoint(path, cfg: RunConfig, dataset_dir, windowed: bool = False):
                    scenario=(scenario, cfg.scenario))
     if windowed and model_cfg.variant == "actor_only":
         raise ConfigError(f"checkpoint {path} is actor_only, which reads no scene window; "
-                          f"--phase long, --strategy and --support need a scene-reading model")
+                          f"--phase long and --strategy need a scene-reading model")
     return state, model_cfg, scenario
 
 
@@ -191,38 +192,28 @@ def _finite(flag: str, text: str) -> float:
 
 
 def cmd_eval(args) -> int:
-    # check every sweep value and resolve every weighted fusion before --out exists,
-    # so a refused eval writes nothing
+    # check every sweep value and the checkpoint before --out exists, so a refused eval
+    # writes nothing
     if args.topk_k < 1:
         raise ConfigError(f"--topk-k must be at least 1, got {args.topk_k}")
     taus = [_finite("--threshold", text) for text in args.threshold or []]
     for tau in taus:
         if not 0.0 <= tau <= 1.0:
             raise ConfigError(f"--threshold must lie in [0, 1], got {tau:g}")
-    support_seconds = [_finite("--support", text) for text in args.support or []]
+    strategies = args.strategy or []
     dataset, cfg = _load_dataset_dir(args.dataset, with_train=False)
-    if "topk" in (args.strategy or []) and args.topk_k > cfg.windowing.num_windows:
-        raise ConfigError(f"--topk-k {args.topk_k} exceeds the {cfg.windowing.num_windows} "
-                          f"windows that --strategy topk fuses")
     state, model_cfg, scenario = _load_checkpoint(args.checkpoint, cfg, args.dataset,
-                                                  windowed=bool(support_seconds or args.strategy))
-    if args.variant and args.variant != model_cfg.variant:
-        raise ConfigError(
-            f"checkpoint was trained with variant {model_cfg.variant!r}, not {args.variant!r}"
-        )
-    fusions = []  # (report name, windowing, weights, strategy)
-    for support in support_seconds:
-        windowing = WindowingConfig.from_support(
-            support, cfg.windowing.t_before, cfg.windowing.t_after, cfg.windowing.stride
-        )
-        fusions.append((f"support_{support:g}s", windowing,
-                        _weights_for(state, windowing, model_cfg), "weighted"))
-    for strategy in args.strategy or []:
-        weights = (_weights_for(state, cfg.windowing, model_cfg)
-                   if strategy == "weighted" else None)
-        fusions.append((f"strategy_{strategy}", cfg.windowing, weights, strategy))
+                                                  windowed=bool(strategies))
+    # every strategy fuses the windows of the fitted weights; a phase-1 checkpoint has
+    # none, so the manifest's windows with the one-hot weights of the short-term model
+    weights = state.aggregation or AggregationWeights.initial(cfg.windowing,
+                                                              model_cfg.num_classes)
+    windowing = weights.windowing
+    if "topk" in strategies and args.topk_k > windowing.num_windows:
+        raise ConfigError(f"--topk-k {args.topk_k} exceeds the {windowing.num_windows} "
+                          f"windows that --strategy topk fuses")
     samplings = [(f"sampling_tau_{tau:g}", "threshold", tau) for tau in taus]
-    if args.topk or not (taus or fusions):
+    if args.topk or not (taus or strategies):
         samplings.append(("sampling_topk", "topk", 0.0))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -233,34 +224,16 @@ def cmd_eval(args) -> int:
                                      proposal_mode=mode, proposal_tau=tau)
         write_report(report, out, name)
         ran.append((name, report.mean_ap))
-    for name, windowing, weights, strategy in fusions:
+    for strategy in strategies:
         windowed = [run_windowed(state.params, model_cfg, c, windowing) for c in clips]
         report = evaluate_longterm(windowed, scenario, weights, strategy=strategy,
                                    topk=args.topk_k)
-        write_report(report, out, name)
-        ran.append((name, report.mean_ap))
+        write_report(report, out, f"strategy_{strategy}")
+        ran.append((f"strategy_{strategy}", report.mean_ap))
 
     for name, mean_ap in ran:
         print(f"{name}: mAP {mean_ap:.4f}")
     return EXIT_OK
-
-
-def _weights_for(state: TrainState, windowing: WindowingConfig,
-                 model_cfg) -> AggregationWeights:
-    """The checkpoint's fitted weights, or the one-hot start if it holds none.
-
-    Fitted weights for other window offsets are refused: one-hot fusion in
-    their place would report the short-term mAP under a long-term name.
-    """
-    if state.aggregation is None:
-        return AggregationWeights.initial(windowing, model_cfg.num_classes)
-    if tuple(windowing.offsets) != state.aggregation.offsets:
-        raise ConfigError(
-            f"the checkpoint's aggregation weights were fitted for window offsets "
-            f"{list(state.aggregation.offsets)}, not {list(windowing.offsets)}; fit them for "
-            f"this support with train --phase long and a matching windowing section"
-        )
-    return state.aggregation
 
 
 def cmd_inspect(args) -> int:
@@ -320,15 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--dataset", required=True)
     p_eval.add_argument("--out", required=True)
     p_eval.add_argument("--strategy", action="append", choices=STRATEGIES)
-    p_eval.add_argument("--support", action="append",
-                        help="total temporal support in seconds (repeatable)")
     p_eval.add_argument("--threshold", action="append",
                         help="proposal confidence threshold (repeatable)")
     p_eval.add_argument("--topk", action="store_true",
                         help="evaluate dense top-K proposal sampling")
     p_eval.add_argument("--topk-k", type=int, default=1,
                         help="k for the topk aggregation strategy")
-    p_eval.add_argument("--variant", choices=mdl.VARIANTS)
     p_eval.set_defaults(fn=cmd_eval)
 
     p_ins = sub.add_parser("inspect", help="export raw attention for one clip "

@@ -109,7 +109,8 @@ def config_from_dict(data: dict, source: str = "config") -> RunConfig:
         raise ConfigError(f"{source}: scenario.seed is derived from the top-level seed; "
                           "set that instead")
     cfg = decode_section(RunConfig(), data, source)
-    return dataclasses.replace(cfg, scenario=dataclasses.replace(cfg.scenario, seed=cfg.seed))
+    return dataclasses.replace(cfg, scenario=decode_section(cfg.scenario, {"seed": cfg.seed},
+                                                            source))
 
 
 def load_config(path) -> RunConfig:

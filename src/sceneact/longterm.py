@@ -3,9 +3,10 @@
 A keyframe's proposals are fixed once; the model is re-run on short
 windows slid across the long clip, and the per-window action scores are
 fused per class. The weighted-sum strategy uses trainable weights (one
-per window offset and class); max, average and top-k pooling are
-expressed through the same summation kernel so their documented
-equalities hold bit-for-bit.
+per window offset and class) that carry the ``WindowingConfig`` they were
+fitted on, so they fuse only windows of that geometry; max, average and
+top-k pooling are expressed through the same summation kernel so their
+documented equalities hold bit-for-bit.
 
 Phase-2 training ("long-term") freezes the relation model entirely: the
 per-window scores become constants, and only the aggregation weights
@@ -41,9 +42,6 @@ from .synthdata import ClipSample, ground_truth_set, window_grid
 STRATEGIES = ("weighted", "max", "avg", "topk")
 
 _PROB_EPS = 1e-9  # probability clamp before taking logits
-# from_support rounds spans to this many decimals of a second: far finer than
-# any stride, far coarser than the float error of subtracting T_p and T_f
-_SPAN_DECIMALS = 9
 
 
 @dataclass(frozen=True)
@@ -78,42 +76,25 @@ class WindowingConfig:
     def short_term(cls) -> "WindowingConfig":
         return cls(long_before=0.0, long_after=0.0)
 
-    @classmethod
-    def from_support(cls, support_seconds: float, t_before: float = 1.05,
-                     t_after: float = 1.05, stride: float = 1.0) -> "WindowingConfig":
-        """Total temporal support -> symmetric long spans around the keyframe.
-
-        The span is rounded before ``offsets`` floors it by the stride, so
-        ``2 * L + T_p + T_f`` gives back ``L``: unrounded, 14.1 s would give
-        a span of 5.999999999999999 s and 11 windows where 6 s gives 13. A
-        support shorter than one window, ``T_p + T_f``, is refused.
-        """
-        span = round((support_seconds - t_before - t_after) / 2.0, _SPAN_DECIMALS)
-        if not span >= 0.0:
-            raise ConfigError(f"support {support_seconds:g} s is shorter than one window, "
-                              f"T_p + T_f = {t_before + t_after:g} s")
-        return cls(t_before, t_after, span, span, stride)
-
 
 @dataclass
 class AggregationWeights:
-    """One fusion weight per (window offset, action class)."""
+    """One fusion weight per (window, action class) of the windowing they were fitted on."""
 
-    offsets: tuple[int, ...]
+    windowing: WindowingConfig
     weights: np.ndarray  # (num_windows, num_classes)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.shape[0] != len(self.offsets):
-            raise ContractError("one weight row per window offset required")
+        if self.weights.shape[0] != self.windowing.num_windows:
+            raise ContractError("one weight row per window required")
 
     @classmethod
     def initial(cls, cfg: WindowingConfig, num_classes: int) -> "AggregationWeights":
         """One-hot at offset 0: fused output starts at exact short-term behavior."""
-        offsets = tuple(cfg.offsets)
-        w = np.zeros((len(offsets), num_classes))
-        w[offsets.index(0)] = 1.0
-        return cls(offsets, w)
+        w = np.zeros((cfg.num_windows, num_classes))
+        w[cfg.offsets.index(0)] = 1.0
+        return cls(cfg, w)
 
 
 def windows(cfg: WindowingConfig, keyframe_time: float) -> list[tuple[int, tuple[float, float]]]:
@@ -314,4 +295,4 @@ def train_aggregation(
     after = params_hash({p.name: p.value.data for p in params.parameters()})
     if before != after:
         raise ContractError("relation model parameters changed during aggregation training")
-    return AggregationWeights(tuple(windowing.offsets), weight_param.value.data.copy())
+    return AggregationWeights(windowing, weight_param.value.data.copy())

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import logging
-import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -382,12 +381,10 @@ def save_train_state(path, state: TrainState, model_cfg: ModelConfig,
             "best_map": np.array([state.best_map]),
         },
     }
-    if state.aggregation is not None:
-        sections["aggregation"] = {
-            "weights": state.aggregation.weights,
-            "offsets": np.array(state.aggregation.offsets, dtype=np.float64),
-        }
     meta = {"model": asdict(model_cfg), "scenario": asdict(scenario)}
+    if state.aggregation is not None:
+        sections["aggregation"] = {"weights": state.aggregation.weights}
+        meta["windowing"] = asdict(state.aggregation.windowing)
     save_checkpoint(path, sections, meta)
 
 
@@ -400,27 +397,27 @@ def load_train_state(path, opt_cfg: OptimizerConfig) -> tuple[TrainState, ModelC
     for p in params.parameters():
         p.assign(model[p.name])
     opt = AdamW(params.parameters(), lr=opt_cfg.lr, weight_decay=opt_cfg.weight_decay)
-    opt.load_state_arrays(_section(path, sections, "optimizer", opt.state_arrays()))
+    optimizer = _section(path, sections, "optimizer", opt.state_arrays())
     progress = _section(path, sections, "progress",
                         {k: np.zeros(1) for k in ("epoch", "step", "best_map")})
     epoch, step, best_map = (float(progress[k][0]) for k in ("epoch", "step", "best_map"))
-    for key, value in (("epoch", epoch), ("step", step)):
+    t = float(optimizer["t"][0])
+    for key, value in (("optimizer/t", t), ("progress/epoch", epoch), ("progress/step", step)):
         if not (value >= 0 and value.is_integer()):
-            raise ValidationError(f"checkpoint {path}: progress/{key} is {value}, not a count")
-    if not math.isfinite(best_map):
-        raise ValidationError(f"checkpoint {path}: progress/best_map is {best_map}")
+            raise ValidationError(f"checkpoint {path}: {key} is {value}, not a count")
+    opt.load_state_arrays(optimizer)
     state = TrainState(params, opt, epoch=int(epoch), step=int(step), best_map=best_map)
     if "aggregation" in sections:
-        n = np.size(sections["aggregation"].get("offsets", ()))
+        windowing = _cfg_from_meta(WindowingConfig, meta, "windowing", path)
         agg = _section(path, sections, "aggregation",
-                       {"offsets": np.zeros(n), "weights": np.zeros((n, model_cfg.num_classes))})
-        state.aggregation = AggregationWeights(tuple(int(o) for o in agg["offsets"]),
-                                               agg["weights"])
+                       {"weights": np.zeros((windowing.num_windows, model_cfg.num_classes))})
+        state.aggregation = AggregationWeights(windowing, agg["weights"])
     return state, model_cfg, scenario
 
 
 def _section(path, sections: dict, name: str, like: dict[str, np.ndarray]) -> dict:
-    """``sections[name]``, refused unless it holds exactly ``like``'s names and shapes."""
+    """``sections[name]``, refused unless it holds exactly ``like``'s names and shapes,
+    every value finite."""
     arrays = sections.get(name)
     if arrays is None:
         raise ValidationError(f"checkpoint {path} has no {name} section")
@@ -432,6 +429,8 @@ def _section(path, sections: dict, name: str, like: dict[str, np.ndarray]) -> di
         if arrays[key].shape != ref.shape:
             raise ValidationError(f"checkpoint {path}: {name}/{key} has shape "
                                   f"{arrays[key].shape}, expected {ref.shape}")
+        if not np.isfinite(arrays[key]).all():
+            raise ValidationError(f"checkpoint {path}: {name}/{key} holds a non-finite value")
     return arrays
 
 

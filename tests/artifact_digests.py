@@ -3,9 +3,11 @@
 Runs ``generate`` -> ``train`` -> ``train --phase long`` ->
 ``eval --topk --threshold 0.5 --strategy weighted --strategy avg
 --strategy max`` -> ``inspect`` in a temporary directory, on a seed-7
-scenario of 40 train and 12 eval clips trained for 2 epochs, then
-``eval --support 4.1 --support 14.1`` on the short phase's best
-checkpoint (``support/``: 3 and 13 windows), then the actor_only
+scenario of 40 train and 12 eval clips trained for 2 epochs. Then it
+fits at a second geometry, ``train --phase long`` with 2 s spans
+(``config_support.json``, ``support/``: 5 windows where the default has
+13), and runs ``eval --strategy weighted --strategy avg`` on the
+checkpoint that writes (``support_eval/``). Last come the actor_only
 ablation's ``train`` and ``eval --topk`` on the same data
 (``config_actor_only.json``, ``blind/`` and ``blind_eval/``). It prints
 ``<sha256>  <path>`` for every file the run wrote, paths relative to the
@@ -34,6 +36,7 @@ from sceneact.cli import main  # noqa: E402
 CONFIG = {"seed": 7, "scenario": {"train_clips": 40, "eval_clips": 12},
           "optimizer": {"epochs": 2}}
 BLIND_MODEL = {"variant": "actor_only"}  # the default run's sizes
+SUPPORT_WINDOWING = {"long_before": 2.0, "long_after": 2.0}
 
 
 def run(root: Path) -> None:
@@ -41,9 +44,11 @@ def run(root: Path) -> None:
     cfg.write_text(json.dumps(CONFIG))
     blind_cfg = root / "config_actor_only.json"
     blind_cfg.write_text(json.dumps(dict(CONFIG, model=BLIND_MODEL)))
-    data, short, long, evals, support, blind, blind_evals = (
-        str(root / d)
-        for d in ("data", "short", "long", "eval", "support", "blind", "blind_eval"))
+    support_cfg = root / "config_support.json"
+    support_cfg.write_text(json.dumps(dict(CONFIG, windowing=SUPPORT_WINDOWING)))
+    data, short, long, evals, support, support_evals, blind, blind_evals = (
+        str(root / d) for d in ("data", "short", "long", "eval", "support", "support_eval",
+                                "blind", "blind_eval"))
     commands = [
         ["generate", "--config", str(cfg), "--out", data],
         ["train", "--dataset", data, "--out", short],
@@ -54,8 +59,10 @@ def run(root: Path) -> None:
          "--strategy", "weighted", "--strategy", "avg", "--strategy", "max"],
         ["inspect", "--dataset", data, "--checkpoint", f"{short}/best.ckpt",
          "--clip", "eval_0000", "--attention", str(root / "inspect" / "attention.csv")],
-        ["eval", "--dataset", data, "--checkpoint", f"{short}/best.ckpt", "--out", support,
-         "--support", "4.1", "--support", "14.1"],
+        ["train", "--config", str(support_cfg), "--dataset", data, "--out", support,
+         "--phase", "long", "--checkpoint", f"{short}/best.ckpt"],
+        ["eval", "--dataset", data, "--checkpoint", f"{support}/longterm.ckpt",
+         "--out", support_evals, "--strategy", "weighted", "--strategy", "avg"],
         ["train", "--config", str(blind_cfg), "--dataset", data, "--out", blind],
         ["eval", "--dataset", data, "--checkpoint", f"{blind}/best.ckpt", "--out", blind_evals,
          "--topk"],

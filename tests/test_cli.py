@@ -14,6 +14,9 @@ from sceneact.checkpoint import load_checkpoint, save_checkpoint
 from sceneact.cli import main
 from sceneact.config import RunConfig, config_from_dict, config_hash, load_config
 from sceneact.errors import ConfigError, NanLossError
+from sceneact.evaluation import write_report
+from sceneact.longterm import WindowingConfig
+from sceneact.training import evaluate_longterm, load_train_state, run_windowed
 
 
 TINY = {
@@ -197,6 +200,15 @@ class TestGenerate:
         assert len(errors) == 1 and "Traceback" not in err
         assert str(cfg_path) in errors[0] and f"{section}.{key}" in errors[0]
 
+    def test_seed_refusal_names_the_file(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, dict(TINY, seed=-1))
+        rc = main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "d")])
+        err = capsys.readouterr().err
+        assert rc == 1 and not (tmp_path / "d").exists()
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "Traceback" not in err
+        assert str(cfg_path) in errors[0] and "seed" in errors[0]
+
     def test_refuses_non_empty_dir_without_force(self, workspace, capsys):
         _root, cfg_path, data_dir, _out = workspace
         assert main(["generate", "--config", str(cfg_path), "--out", str(data_dir)]) == 1
@@ -368,51 +380,36 @@ class TestTrainEvalInspect:
         ]) == 0
         assert (eval_dir / "strategy_avg_summary.txt").exists()
 
-    def test_eval_support_single_window_equals_short_term(self, workspace, tmp_path):
+    def test_eval_fuses_on_the_fitted_windowing(self, workspace, tmp_path):
+        # stride 2 over 4 s spans: the manifest's offsets -2..2, on other windows
         _root, _cfg, data_dir, out_dir = workspace
-        d1, d2 = tmp_path / "sup", tmp_path / "topk"
-        assert main(["eval", "--checkpoint", str(out_dir / "best.ckpt"), "--dataset",
-                     str(data_dir), "--out", str(d1), "--support", "2.1"]) == 0
-        assert main(["eval", "--checkpoint", str(out_dir / "best.ckpt"), "--dataset",
-                     str(data_dir), "--out", str(d2), "--topk"]) == 0
-        ap1 = (d1 / "support_2.1s_per_class.csv").read_text().splitlines()[1:]
-        ap2 = (d2 / "sampling_topk_per_class.csv").read_text().splitlines()[1:]
-        assert [r.split(",")[3] for r in ap1] == [r.split(",")[3] for r in ap2]
-
-    def test_eval_support_needs_weights_fitted_for_its_offsets(self, workspace, tmp_path,
-                                                               capsys):
-        _root, cfg_path, data_dir, out_dir = workspace
+        fitted = WindowingConfig(t_before=0.5, long_before=4.0, long_after=4.0, stride=2.0)
+        cfg_path = write_config(tmp_path, dict(TINY, windowing=dataclasses.asdict(fitted)))
         lt_dir = tmp_path / "lt"
         assert main(["train", "--config", str(cfg_path), "--dataset", str(data_dir),
                      "--out", str(lt_dir), "--phase", "long",
                      "--checkpoint", str(out_dir / "best.ckpt")]) == 0
-        lt_ckpt = str(lt_dir / "longterm.ckpt")
-        refused = tmp_path / "refused"
-        assert main(["eval", "--checkpoint", lt_ckpt, "--dataset", str(data_dir),
-                     "--out", str(refused), "--support", "4.1"]) == 1
-        err = capsys.readouterr().err
-        assert "[-2, -1, 0, 1, 2]" in err and "[-1, 0, 1]" in err
-        assert not refused.exists()
-        # 2 * 2 + 2.1 s is the fitted offsets' own support: it fuses with the fitted weights
-        fitted = tmp_path / "fitted"
-        assert main(["eval", "--checkpoint", lt_ckpt, "--dataset", str(data_dir),
-                     "--out", str(fitted), "--support", "6.1", "--strategy", "weighted"]) == 0
-        assert ((fitted / "support_6.1s_per_class.csv").read_text()
-                == (fitted / "strategy_weighted_per_class.csv").read_text())
-
-    def test_eval_support_without_fitted_weights_starts_one_hot(self, workspace, tmp_path):
-        _root, _cfg, data_dir, out_dir = workspace
-        eval_dir = tmp_path / "sup"
-        assert main(["eval", "--checkpoint", str(out_dir / "best.ckpt"), "--dataset",
-                     str(data_dir), "--out", str(eval_dir), "--support", "4.1", "--topk"]) == 0
-        ap1 = (eval_dir / "support_4.1s_per_class.csv").read_text().splitlines()[1:]
-        ap2 = (eval_dir / "sampling_topk_per_class.csv").read_text().splitlines()[1:]
-        assert [r.split(",")[3] for r in ap1] == [r.split(",")[3] for r in ap2]
+        lt_ckpt = lt_dir / "longterm.ckpt"
+        eval_dir = tmp_path / "eval"
+        assert main(["eval", "--checkpoint", str(lt_ckpt), "--dataset", str(data_dir),
+                     "--out", str(eval_dir), "--strategy", "weighted", "--strategy", "avg"]) == 0
+        cfg = load_config(cfg_path)
+        state, model_cfg, scenario = load_train_state(lt_ckpt, cfg.optimizer)
+        clips = synthdata.generate_dataset(cfg.scenario, with_train=False).eval
+        windowed = [run_windowed(state.params, model_cfg, c, fitted) for c in clips]
+        ref_dir = tmp_path / "ref"
+        ref_dir.mkdir()
+        for strategy in ("weighted", "avg"):
+            report = evaluate_longterm(windowed, scenario, state.aggregation, strategy=strategy)
+            write_report(report, ref_dir, f"strategy_{strategy}")
+        names = sorted(p.name for p in eval_dir.iterdir())
+        assert names == sorted(p.name for p in ref_dir.iterdir())
+        for name in names:
+            assert (eval_dir / name).read_bytes() == (ref_dir / name).read_bytes()
 
     @pytest.mark.parametrize("sweep", [
         ["--threshold", "abc"], ["--threshold", "0.5", "--threshold", "abc"],
         ["--threshold", "nan"], ["--threshold", "1.5"], ["--threshold", "-0.1"],
-        ["--support", "abc"], ["--support", "inf"], ["--support", "-3"], ["--support", "2"],
         ["--strategy", "topk", "--topk-k", "0"], ["--strategy", "topk", "--topk-k", "-5"],
     ], ids=" ".join)
     def test_eval_bad_sweep_value_writes_nothing(self, workspace, tmp_path, capsys, sweep):
@@ -423,13 +420,6 @@ class TestTrainEvalInspect:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_eval_variant_mismatch_rejected(self, workspace, tmp_path):
-        _root, _cfg, data_dir, out_dir = workspace
-        rc = main(["eval", "--checkpoint", str(out_dir / "best.ckpt"), "--dataset",
-                   str(data_dir), "--out", str(tmp_path / "x"),
-                   "--variant", "decoder_only"])
-        assert rc == 1
 
     def test_checkpoint_meta_mismatch_rejected(self, workspace, tmp_path, capsys):
         _root, _cfg, data_dir, out_dir = workspace
@@ -729,6 +719,37 @@ class TestMalformedFiles:
         err = self.run_eval(data_dir, bad, tmp_path / "x", capsys)
         assert str(bad) in err and f"progress/{name}" in err
 
+    @pytest.mark.parametrize("section,name,value", [
+        ("model", "head.fc2.b", np.nan), ("optimizer", "t", np.nan),
+        ("optimizer", "t", 1.5), ("optimizer", "t", -3.0),
+    ], ids=str)
+    def test_array_value_refused(self, workspace, tmp_path, capsys, section, name, value):
+        _root, _cfg, data_dir, out_dir = workspace
+        bad = tmp_path / "bad.ckpt"
+
+        def set_value(sections):
+            sections[section][name].flat[0] = value
+
+        self.edit_sections(out_dir / "best.ckpt", bad, set_value)
+        err = self.run_eval(data_dir, bad, tmp_path / "x", capsys)
+        assert str(bad) in err and f"{section}/{name}" in err
+
+    def test_long_term_checkpoint_without_windowing_refused(self, workspace, tmp_path, capsys):
+        # the old format: window offsets beside the weights, no windowing metadata
+        _root, cfg_path, data_dir, out_dir = workspace
+        lt_dir = tmp_path / "lt"
+        assert main(["train", "--config", str(cfg_path), "--dataset", str(data_dir),
+                     "--out", str(lt_dir), "--phase", "long",
+                     "--checkpoint", str(out_dir / "best.ckpt")]) == 0
+        sections, meta = load_checkpoint(lt_dir / "longterm.ckpt")
+        sections["aggregation"]["offsets"] = np.arange(-2.0, 3.0)
+        del meta["windowing"]
+        old = tmp_path / "old.ckpt"
+        save_checkpoint(old, sections, meta)
+        capsys.readouterr()
+        err = self.run_eval(data_dir, old, tmp_path / "x", capsys)
+        assert str(old) in err and "windowing" in err
+
 
 class TestActorOnly:
     """An actor_only checkpoint evaluates and inspects; window fusion on it is refused."""
@@ -753,8 +774,7 @@ class TestActorOnly:
     @pytest.mark.parametrize("argv", [
         ["train", "--phase", "long", "--checkpoint", "{ckpt}"],
         ["eval", "--checkpoint", "{ckpt}", "--strategy", "avg"],
-        ["eval", "--checkpoint", "{ckpt}", "--topk", "--support", "4.1"],
-    ], ids=["train_long", "eval_strategy", "eval_support"])
+    ], ids=["train_long", "eval_strategy"])
     def test_window_fusion_refused_before_out(self, blind_run, tmp_path, capsys, argv):
         cfg_path, data_dir, ckpt = blind_run
         out = tmp_path / "x"

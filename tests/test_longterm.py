@@ -70,17 +70,6 @@ class TestWindows:
         with pytest.raises(ConfigError):
             WindowingConfig(stride=0.0)
 
-    def test_from_support(self):
-        single = WindowingConfig.from_support(2.1)
-        assert single.num_windows == 1
-        twelve = WindowingConfig.from_support(12.0)
-        assert twelve.long_before == pytest.approx(4.95)
-
-    @pytest.mark.parametrize("support,count", [(4.1, 3), (8.1, 7), (14.1, 13)])
-    def test_from_support_round_trips_whole_strides(self, support, count):
-        # (14.1 - 2.1) / 2 is 5.999999999999999 in floating point
-        assert WindowingConfig.from_support(support).num_windows == count
-
 
 def make_scores(gen, n_win=3, ncls=4, k=5):
     return gen.uniform(0, 1, size=(n_win, ncls, k))
@@ -95,6 +84,9 @@ def windowed(scores, offsets=None):
     return WindowedScores(FakeClip(), tuple(offsets), scores)
 
 
+THREE_WINDOWS = WindowingConfig(1.05, 1.05, 1.0, 1.0, 1.0)  # offsets -1, 0, 1
+
+
 class TestAggregate:
     def test_one_hot_weights_reproduce_keyframe(self):
         gen = RngStream(5).generator()
@@ -107,7 +99,7 @@ class TestAggregate:
         gen = RngStream(6).generator()
         s = make_scores(gen)
         uniform = AggregationWeights(
-            (-1, 0, 1), np.full((3, 4), 1.0 / 3.0)
+            THREE_WINDOWS, np.full((3, 4), 1.0 / 3.0)
         )
         assert np.array_equal(aggregate(windowed(s), uniform, "weighted"),
                               aggregate(windowed(s), strategy="avg"))
@@ -135,16 +127,16 @@ class TestAggregate:
     def test_dot_product_hand_case(self):
         s = np.zeros((3, 1, 1))
         s[:, 0, 0] = [0.2, 0.9, 0.4]
-        w = AggregationWeights((-1, 0, 1), np.array([[0.1], [0.8], [0.1]]))
+        w = AggregationWeights(THREE_WINDOWS, np.array([[0.1], [0.8], [0.1]]))
         out = aggregate(windowed(s), w, "weighted")
         assert out[0, 0] == pytest.approx(0.78, abs=1e-12)
 
     def test_weighted_linear_in_weights(self):
         gen = RngStream(9).generator()
         s = make_scores(gen)
-        a1 = AggregationWeights((-1, 0, 1), gen.normal(size=(3, 4)))
-        a2 = AggregationWeights((-1, 0, 1), gen.normal(size=(3, 4)))
-        both = AggregationWeights((-1, 0, 1), a1.weights + a2.weights)
+        a1 = AggregationWeights(THREE_WINDOWS, gen.normal(size=(3, 4)))
+        a2 = AggregationWeights(THREE_WINDOWS, gen.normal(size=(3, 4)))
+        both = AggregationWeights(THREE_WINDOWS, a1.weights + a2.weights)
         np.testing.assert_allclose(
             aggregate(windowed(s), both, "weighted"),
             aggregate(windowed(s), a1, "weighted") + aggregate(windowed(s), a2, "weighted"),
@@ -212,17 +204,16 @@ class TestParallelWindows:
                 serial.append(ad._sigmoid(logits.data))
         assert np.array_equal(ws.scores, np.stack(serial))
 
-    @pytest.mark.parametrize("variant,support,jobs", [
-        ("decoder_only", 14.1, [3, 2, 2, 2, 2, 2]),
-        ("unified", 2.1, [1]),  # the short-term windowing
-        ("unified", 4.1, [2, 1]),
-    ])
+    @pytest.mark.parametrize("variant,windowing,jobs", [
+        ("decoder_only", WindowingConfig(), [3, 2, 2, 2, 2, 2]),  # 14.1 s of support
+        ("unified", WindowingConfig.short_term(), [1]),  # 2.1 s
+        ("unified", WindowingConfig(long_before=1.0, long_after=1.0), [2, 1]),  # 4.1 s
+    ], ids=["decoder_only-14.1", "unified-2.1", "unified-4.1"])
     def test_window_stacks_equal_serial_loop_bitwise(self, two_window_workers, monkeypatch,
-                                                     variant, support, jobs):
+                                                     variant, windowing, jobs):
         scenario = small_scenario(momentary_fraction=1.0)
         cfg, params = tiny_model(scenario, layers=2, variant=variant)
         clip = generate_clip(scenario, RngStream(905).child(0, 2), "c5", 0.0)
-        windowing = WindowingConfig.from_support(support)
         sizes = []
         scores = longterm.action_scores
 
@@ -322,7 +313,7 @@ class TestAggregationTraining:
         weights = train_aggregation(params, cfg, ds.train, wcfg,
                                     LossConfig(), lr=2e-2, epochs=60)
         mass = np.abs(weights.weights).sum(axis=1)
-        assert int(np.argmax(mass)) == weights.offsets.index(0)
+        assert int(np.argmax(mass)) == weights.windowing.offsets.index(0)
 
 
 def per_clip_loss(params, cfg, clips, wcfg, loss_cfg, w):
@@ -344,7 +335,7 @@ def per_clip_loss(params, cfg, clips, wcfg, loss_cfg, w):
                                               ad.reshape(ad.narrow(w.value, 0, n, n + 1), (-1,))))
             fused = term if fused is None else ad.add(fused, term)
         np.testing.assert_array_equal(
-            fused.data, aggregate(ws, AggregationWeights(ws.offsets, w.value.data)))
+            fused.data, aggregate(ws, AggregationWeights(wcfg, w.value.data)))
         loss = set_loss(ad.logit(fused, 1e-9), sigma, targets, loss_cfg)
         total = loss if total is None else ad.add(total, loss)
     return ad.scale(total, 1.0 / len(clips)), sigmas

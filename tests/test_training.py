@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -14,7 +13,7 @@ from sceneact import training
 from sceneact.checkpoint import load_checkpoint, params_hash, save_checkpoint
 from sceneact.config import config_from_dict
 from sceneact.errors import DimensionError, ValidationError
-from sceneact.longterm import WindowingConfig
+from sceneact.longterm import AggregationWeights, WindowingConfig
 from sceneact.matching import LossConfig, matched_targets, set_loss
 from sceneact.rng import RngStream
 from sceneact.synthdata import (
@@ -161,24 +160,30 @@ class TestShortTermTraining:
         for p, q in zip(loaded.params.parameters(), state.params.parameters()):
             assert np.array_equal(p.value.data, q.value.data)
 
-    @pytest.mark.parametrize("offsets_shape,weights", [
-        ([], np.ones((1, MODEL.num_classes))),
-        ([1], np.ones((1, 2))),
-    ], ids=["scalar_offsets", "too_few_classes"])
-    def test_malformed_aggregation_section_refused(self, dataset, tmp_path, offsets_shape,
-                                                   weights):
+    def test_aggregation_round_trips_with_its_windowing(self, dataset, tmp_path):
+        state = run(dataset, opt_cfg(epochs=1))
+        wcfg = WindowingConfig(0.5, 1.05, 4.0, 4.0, 2.0)
+        weights = RngStream(3).generator().uniform(size=(wcfg.num_windows, MODEL.num_classes))
+        state.aggregation = AggregationWeights(wcfg, weights)
         path = tmp_path / "state.ckpt"
-        save_train_state(path, run(dataset, opt_cfg(epochs=1)), MODEL, SCENARIO)
+        save_train_state(path, state, MODEL, SCENARIO)
+        loaded, _model_cfg, _scenario = load_train_state(path, opt_cfg())
+        assert loaded.aggregation.windowing == wcfg
+        assert np.array_equal(loaded.aggregation.weights, weights)
+        assert set(load_checkpoint(path)[0]["aggregation"]) == {"weights"}
+
+    @pytest.mark.parametrize("weights", [
+        np.ones((2, MODEL.num_classes)),
+        np.ones((1, 2)),
+    ], ids=["too_many_rows", "too_few_classes"])
+    def test_malformed_aggregation_section_refused(self, dataset, tmp_path, weights):
+        path = tmp_path / "state.ckpt"
+        state = run(dataset, opt_cfg(epochs=1))
+        state.aggregation = AggregationWeights.initial(WINDOW, MODEL.num_classes)
+        save_train_state(path, state, MODEL, SCENARIO)
         sections, meta = load_checkpoint(path)
-        sections["aggregation"] = {"offsets": np.zeros(1), "weights": weights}
+        sections["aggregation"] = {"weights": weights}
         save_checkpoint(path, sections, meta)
-        raw = path.read_bytes()
-        nl = raw.index(b"\n")
-        header = json.loads(raw[:nl])
-        for entry in header["entries"]:
-            if (entry["section"], entry["name"]) == ("aggregation", "offsets"):
-                entry["shape"] = offsets_shape  # [] reads back as a 0-d array
-        path.write_bytes(json.dumps(header).encode() + raw[nl:])
         with pytest.raises(ValidationError, match="aggregation/"):
             load_train_state(path, opt_cfg())
 
