@@ -15,7 +15,7 @@ from sceneact.cli import main
 from sceneact.config import RunConfig, config_from_dict, config_hash, load_config
 from sceneact.errors import ConfigError, NanLossError
 from sceneact.evaluation import write_report
-from sceneact.longterm import WindowingConfig
+from sceneact.longterm import AggregationWeights, WindowingConfig
 from sceneact.training import evaluate_longterm, load_train_state, run_windowed
 
 
@@ -51,6 +51,21 @@ def workspace(tmp_path_factory):
         "--out", str(out_dir),
     ]) == 0
     return root, cfg_path, data_dir, out_dir
+
+
+@pytest.fixture(scope="module")
+def one_hot_fit(workspace, tmp_path_factory):
+    """A long-term checkpoint fitted for no epochs at 4.1 s of support: 3 one-hot windows."""
+    _root, _cfg, data_dir, out_dir = workspace
+    root = tmp_path_factory.mktemp("support")
+    windowing = WindowingConfig(long_before=1.0, long_after=1.0)
+    cfg_path = write_config(root, dict(
+        TINY, windowing=dataclasses.asdict(windowing),
+        optimizer=dict(TINY["optimizer"], aggregation_epochs=0)))
+    assert main(["train", "--config", str(cfg_path), "--dataset", str(data_dir),
+                 "--out", str(root / "lt"), "--phase", "long",
+                 "--checkpoint", str(out_dir / "best.ckpt")]) == 0
+    return windowing, cfg_path, root / "lt" / "longterm.ckpt"
 
 
 # former config fields, now constants of synthdata, training and matching
@@ -407,6 +422,21 @@ class TestTrainEvalInspect:
         for name in names:
             assert (eval_dir / name).read_bytes() == (ref_dir / name).read_bytes()
 
+    def test_one_hot_fit_at_a_support_fuses_the_keyframe_window(self, workspace, one_hot_fit,
+                                                                tmp_path):
+        _root, _cfg, data_dir, _out = workspace
+        windowing, cfg_path, lt_ckpt = one_hot_fit
+        state, model_cfg, _scenario = load_train_state(lt_ckpt, load_config(cfg_path).optimizer)
+        assert state.aggregation.windowing == windowing
+        assert np.array_equal(state.aggregation.weights,
+                              AggregationWeights.initial(windowing, model_cfg.num_classes).weights)
+        eval_dir = tmp_path / "eval"
+        assert main(["eval", "--checkpoint", str(lt_ckpt), "--dataset", str(data_dir),
+                     "--out", str(eval_dir), "--topk", "--strategy", "weighted"]) == 0
+        fused = (eval_dir / "strategy_weighted_per_class.csv").read_text().splitlines()[1:]
+        short = (eval_dir / "sampling_topk_per_class.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[3] for r in fused] == [r.split(",")[3] for r in short]
+
     @pytest.mark.parametrize("sweep", [
         ["--threshold", "abc"], ["--threshold", "0.5", "--threshold", "abc"],
         ["--threshold", "nan"], ["--threshold", "1.5"], ["--threshold", "-0.1"],
@@ -543,6 +573,21 @@ class TestTopkK:
         assert main(argv + ["--out", str(tmp_path / "six"), "--topk-k", "6"]) == 1
         assert "error: --topk-k 6 exceeds the 5 windows" in capsys.readouterr().err
         assert not (tmp_path / "six").exists()
+
+    def test_topk_k_checked_against_the_fitted_windows(self, workspace, one_hot_fit, tmp_path,
+                                                       capsys):
+        # the manifest's windowing has 5 windows, the fitted one 3
+        _root, _cfg, data_dir, _out = workspace
+        _windowing, _cfg_path, lt_ckpt = one_hot_fit
+        argv = ["eval", "--checkpoint", str(lt_ckpt), "--dataset", str(data_dir),
+                "--strategy", "avg", "--strategy", "topk"]
+        assert main(argv + ["--out", str(tmp_path / "three"), "--topk-k", "3"]) == 0
+        assert (tmp_path / "three" / "strategy_topk_per_class.csv").read_text() == (
+            tmp_path / "three" / "strategy_avg_per_class.csv").read_text()
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "four"), "--topk-k", "4"]) == 1
+        assert "error: --topk-k 4 exceeds the 3 windows" in capsys.readouterr().err
+        assert not (tmp_path / "four").exists()
 
     def test_topk_k_unchecked_without_topk_strategy(self, workspace, tmp_path):
         _root, _cfg, data_dir, out_dir = workspace

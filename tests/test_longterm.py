@@ -147,6 +147,18 @@ class TestAggregate:
         with pytest.raises(ContractError):
             aggregate(windowed(np.zeros((0, 2, 2)), offsets=()), strategy="avg")
 
+    def test_initial_is_one_hot_at_offset_zero_of_its_windowing(self):
+        wcfg = WindowingConfig(0.5, 0.5, 3.0, 1.0, 1.0)  # offsets -3..1
+        w = AggregationWeights.initial(wcfg, 4)
+        expected = np.zeros((5, 4))
+        expected[3] = 1.0
+        assert w.windowing == wcfg
+        assert np.array_equal(w.weights, expected)
+
+    def test_weights_need_one_row_per_window(self):
+        with pytest.raises(ContractError, match="one weight row per window"):
+            AggregationWeights(THREE_WINDOWS, np.ones((5, 4)))
+
 
 class TestRunWindowed:
     def test_single_window_equals_plain_inference(self):

@@ -12,7 +12,7 @@ from sceneact import model as mdl
 from sceneact import training
 from sceneact.checkpoint import load_checkpoint, params_hash, save_checkpoint
 from sceneact.config import config_from_dict
-from sceneact.errors import DimensionError, ValidationError
+from sceneact.errors import ConfigError, DimensionError, ValidationError
 from sceneact.longterm import AggregationWeights, WindowingConfig
 from sceneact.matching import LossConfig, matched_targets, set_loss
 from sceneact.rng import RngStream
@@ -160,6 +160,13 @@ class TestShortTermTraining:
         for p, q in zip(loaded.params.parameters(), state.params.parameters()):
             assert np.array_equal(p.value.data, q.value.data)
 
+    def test_phase1_checkpoint_carries_no_windowing(self, dataset, tmp_path):
+        path = tmp_path / "state.ckpt"
+        save_train_state(path, run(dataset, opt_cfg(epochs=1)), MODEL, SCENARIO)
+        sections, meta = load_checkpoint(path)
+        assert set(meta) == {"model", "scenario"} and "aggregation" not in sections
+        assert load_train_state(path, opt_cfg())[0].aggregation is None
+
     def test_aggregation_round_trips_with_its_windowing(self, dataset, tmp_path):
         state = run(dataset, opt_cfg(epochs=1))
         wcfg = WindowingConfig(0.5, 1.05, 4.0, 4.0, 2.0)
@@ -185,6 +192,23 @@ class TestShortTermTraining:
         sections["aggregation"] = {"weights": weights}
         save_checkpoint(path, sections, meta)
         with pytest.raises(ValidationError, match="aggregation/"):
+            load_train_state(path, opt_cfg())
+
+
+    @pytest.mark.parametrize("key,value,match", [
+        ("stride", "2.0", "windowing.stride"),
+        ("stride", 0.0, "windowing.stride"),
+        ("long_before", 1.0, "aggregation/weights"),
+    ], ids=["mistyped", "out_of_bounds", "other_window_count"])
+    def test_malformed_windowing_metadata_refused(self, dataset, tmp_path, key, value, match):
+        path = tmp_path / "state.ckpt"
+        state = run(dataset, opt_cfg(epochs=1))
+        state.aggregation = AggregationWeights.initial(WindowingConfig(), MODEL.num_classes)
+        save_train_state(path, state, MODEL, SCENARIO)
+        sections, meta = load_checkpoint(path)
+        meta["windowing"][key] = value
+        save_checkpoint(path, sections, meta)
+        with pytest.raises((ConfigError, ValidationError), match=match):
             load_train_state(path, opt_cfg())
 
 
