@@ -19,7 +19,12 @@ enters the focal classification loss through its clamped logit; the
 weights are kept non-negative, so fusion never inverts the ranking within
 a class, and the fit starts from the one-hot keyframe weights, i.e. the
 short-term model. ``map_on_pool`` runs the forwards of every window, of
-the short-term eval and of each phase-1 step on one thread per usable CPU.
+the short-term eval and of each phase-1 step on one thread per usable CPU,
+with at most four jobs per worker in flight, so lazily built grids stay
+few in memory. ``score_jobs`` scores many clips in one such pass: phase 2
+makes one over its train clips and one over its eval clips, the short-term
+eval one over its clips. ``cmd_eval`` still calls ``run_windowed`` clip by
+clip, once per strategy, as the benchmark's ``eval_sweep`` check expects.
 """
 
 from __future__ import annotations
@@ -128,10 +133,28 @@ def _window_pool() -> ThreadPoolExecutor:
 def map_on_pool(fn, jobs) -> list:
     """``[fn(*job) for job in jobs]`` on ``_window_pool()``; ``fn`` must not submit to it.
 
-    Every call ends before the first error in job order is re-raised.
+    The calling thread draws the jobs from the iterable one at a time and keeps at
+    most ``4 * _WORKERS`` of them submitted but unfinished, so a lazy iterable holds
+    only that many jobs' inputs (grids) in memory, however many it yields. At the
+    bound it sleeps until the oldest half has finished, so it wakes, and takes the
+    interpreter lock from the workers, once per ``2 * _WORKERS`` jobs, not per job.
+    Once a job is seen to have raised, no further job is submitted. Every submitted
+    call ends, also when the iterable raises, before the first error in job order is
+    re-raised.
     """
-    futures = [_window_pool().submit(fn, *job) for job in jobs]
-    wait(futures)
+    futures, running = [], []  # running: submitted, not seen done, in job order
+    try:
+        for job in jobs:
+            if len(running) == 4 * _WORKERS:
+                wait(running[:2 * _WORKERS])
+            done = [f for f in running if f.done()]
+            if any(f.exception() for f in done):
+                break
+            running = [f for f in running if f not in done]
+            futures.append(_window_pool().submit(fn, *job))
+            running.append(futures[-1])
+    finally:
+        wait(running)  # no_grad is process-wide: no job may outlive its caller's
     return [f.result() for f in futures]
 
 
@@ -142,29 +165,60 @@ def action_scores(params: mdl.ModelParams, cfg: mdl.ModelConfig, proposals, grid
     return ad._sigmoid(logits.data)
 
 
+def score_jobs(params: mdl.ModelParams, cfg: mdl.ModelConfig, jobs) -> list[np.ndarray]:
+    """Post-sigmoid scores of ``(proposals, grids)`` jobs in one ``map_on_pool`` pass, in
+    job order, each the concatenation of its grids' ``action_scores``. ``grids`` yields
+    (C', N) grids or (B, C', N) stacks, or one None for ``actor_only``; a lazy iterable
+    builds them in the calling thread just ahead of the workers."""
+    sizes = []
+
+    def forwards():
+        for proposals, grids in jobs:
+            sizes.append(0)
+            for grid in grids:
+                sizes[-1] += 1
+                yield params, cfg, proposals, grid
+
+    # no_grad is process-wide: entered once here, it covers every worker
+    with ad.no_grad():
+        flat = iter(map_on_pool(action_scores, forwards()))
+    return [np.concatenate([next(flat) for _ in range(n)]) for n in sizes]
+
+
+def run_windowed_clips(params: mdl.ModelParams, cfg: mdl.ModelConfig, clips: list[ClipSample],
+                       windowing: WindowingConfig) -> list[WindowedScores]:
+    """Inference over every window of every clip; boxes and proposals stay the keyframe's.
+
+    Each clip's grids are built in window order (so are their clamp log lines) and go
+    to ``score_jobs`` as contiguous window stacks: the most stacks, a multiple of the
+    worker count, of at least two windows each (13 windows on 2 workers: 3, 2, 2, 2,
+    2, 2), else one per worker or window. A stack's windows share each numpy call, so
+    the workers trade the interpreter lock less often; scores are bit-identical to a
+    serial loop's.
+    """
+    def stacks(clip):
+        intervals = [interval for _n, interval in windows(windowing, clip.keyframe_time)]
+        runs = min(len(intervals), _WORKERS * max(1, len(intervals) // (2 * _WORKERS)))
+        for part in np.array_split(np.arange(len(intervals)), runs):
+            yield np.stack([window_grid(clip, intervals[i]) for i in part])
+
+    scores = score_jobs(params, cfg, ((clip.proposals, stacks(clip)) for clip in clips))
+    return [WindowedScores(c, tuple(windowing.offsets), s) for c, s in zip(clips, scores)]
+
+
 def run_windowed(
     params: mdl.ModelParams,
     cfg: mdl.ModelConfig,
     clip: ClipSample,
     windowing: WindowingConfig,
 ) -> WindowedScores:
-    """Inference over every window; boxes and proposals stay the keyframe's.
+    """``run_windowed_clips`` on one clip, a pool pass of its own.
 
-    Grids are built here, in window order (so are their clamp log lines).
-    Contiguous runs of them go to ``map_on_pool`` as window stacks: the most
-    runs, a multiple of the worker count, of at least two windows each (13
-    windows on 2 workers: 3, 2, 2, 2, 2, 2), else one run per worker or window.
-    A stack's windows share each numpy call, so the workers trade the
-    interpreter lock less often; scores are bit-identical to a serial loop's.
+    Phase 2 scores all its train clips, then all its eval clips, in one pass each.
+    ``cmd_eval`` still calls this once per strategy and clip: the benchmark's
+    ``eval_sweep`` check expects one call per strategy per clip.
     """
-    grids = np.stack([window_grid(clip, interval)
-                      for _n, interval in windows(windowing, clip.keyframe_time)])
-    runs = min(len(grids), _WORKERS * max(1, len(grids) // (2 * _WORKERS)))
-    jobs = [(params, cfg, clip.proposals, stack) for stack in np.array_split(grids, runs)]
-    # no_grad is process-wide: entered once here, it covers every worker
-    with ad.no_grad():
-        scores = map_on_pool(action_scores, jobs)
-    return WindowedScores(clip, tuple(windowing.offsets), np.concatenate(scores))
+    return run_windowed_clips(params, cfg, [clip], windowing)[0]
 
 
 def _strategy_weights(scores: np.ndarray, strategy: str, weights: AggregationWeights | None,
@@ -251,10 +305,9 @@ def precompute_windowed(
     classes), the clips' ``matched_targets`` labels.
     """
     all_scores, all_targets = [], []
-    for clip in clips:
-        ws = run_windowed(params, cfg, clip, windowing)
-        sigma, targets = matched_targets(ground_truth_set(clip, len(clip.proposals)),
-                                         clip.proposals, loss_cfg)
+    for ws in run_windowed_clips(params, cfg, clips, windowing):
+        sigma, targets = matched_targets(ground_truth_set(ws.clip, len(ws.clip.proposals)),
+                                         ws.clip.proposals, loss_cfg)
         all_scores.append(ws.scores[:, :, list(sigma)])
         all_targets.append(targets)
     return np.stack(all_scores), np.stack(all_targets)

@@ -33,10 +33,11 @@ from .longterm import (
     AggregationWeights,
     WindowedScores,
     WindowingConfig,
-    action_scores,
     aggregate,
     map_on_pool,
     run_windowed,
+    run_windowed_clips,
+    score_jobs,
     train_aggregation,
 )
 from .matching import LossConfig, matched_targets, set_loss
@@ -180,19 +181,16 @@ def evaluate_short_term(
     proposal_mode: str = "topk",
     proposal_tau: float = 0.0,
 ) -> EvalReport:
-    """Keyframe AP; proposals and grids are made here in clip order, forwards on the pool."""
+    """Keyframe AP; proposals are sampled here in clip order, then ``score_jobs`` runs
+    every clip's keyframe forward in one pool pass, its grid built just ahead of it."""
     blind = cfg.variant == "actor_only"
-    jobs = []
-    for clip in clips:
-        proposals = sample_proposals(
-            clip.detections, scenario.proposal_count, mode=proposal_mode,
-            tau=proposal_tau, actor_dim=scenario.actor_dim,
-        )
-        grid = None if blind else keyframe_grid(clip, windowing.t_before, windowing.t_after)
-        jobs.append((params, cfg, proposals, grid))
-    with ad.no_grad():  # entered once here, it covers every worker
-        scores = map_on_pool(action_scores, jobs)
-    return _evaluate_scored([(c, job[2], s) for c, job, s in zip(clips, jobs, scores)], scenario)
+    proposals = [sample_proposals(clip.detections, scenario.proposal_count, mode=proposal_mode,
+                                  tau=proposal_tau, actor_dim=scenario.actor_dim)
+                 for clip in clips]
+    scores = score_jobs(params, cfg, (
+        (p, [None if blind else keyframe_grid(clip, windowing.t_before, windowing.t_after)])
+        for p, clip in zip(proposals, clips)))
+    return _evaluate_scored(list(zip(clips, proposals, scores)), scenario)
 
 
 def _clip_loss_and_gradients(params: ModelParams, cfg: ModelConfig, loss_cfg: LossConfig,
@@ -351,7 +349,7 @@ def train_long_term(
         params, model_cfg, dataset.train, windowing, loss_cfg,
         epochs=opt_cfg.aggregation_epochs,
     )
-    windowed = [run_windowed(params, model_cfg, clip, windowing) for clip in dataset.eval]
+    windowed = run_windowed_clips(params, model_cfg, dataset.eval, windowing)
     short = evaluate_longterm(
         windowed, scenario, AggregationWeights.initial(windowing, model_cfg.num_classes)
     )
@@ -408,6 +406,10 @@ def load_train_state(path, opt_cfg: OptimizerConfig) -> tuple[TrainState, ModelC
     opt.load_state_arrays(optimizer)
     state = TrainState(params, opt, epoch=int(epoch), step=int(step), best_map=best_map)
     if "aggregation" in sections:
+        if "windowing" not in meta:
+            raise ValidationError(f"checkpoint {path}: its fusion weights were saved before they "
+                                  "carried their windowing metadata; refit them with "
+                                  "`train --phase long` on the phase-1 checkpoint")
         windowing = _cfg_from_meta(WindowingConfig, meta, "windowing", path)
         agg = _section(path, sections, "aggregation",
                        {"weights": np.zeros((windowing.num_windows, model_cfg.num_classes))})

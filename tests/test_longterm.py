@@ -1,4 +1,6 @@
 import dataclasses
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from sceneact import autodiff as ad
 from sceneact import longterm
 from sceneact import model as mdl
+from sceneact import training
 from sceneact.errors import ConfigError, ContractError, DimensionError
 from sceneact.longterm import (
     AggregationWeights,
@@ -14,8 +17,10 @@ from sceneact.longterm import (
     WindowingConfig,
     aggregate,
     aggregation_loss,
+    map_on_pool,
     precompute_windowed,
     run_windowed,
+    run_windowed_clips,
     train_aggregation,
     windows,
 )
@@ -28,9 +33,11 @@ from sceneact.synthdata import (
     generate_dataset,
     ground_truth_set,
     keyframe_grid,
+    sample_proposals,
     window_grid,
 )
 from sceneact.checkpoint import params_hash
+from sceneact.training import evaluate_short_term
 from testkit import grad_check
 
 
@@ -253,6 +260,206 @@ class TestParallelWindows:
         logits = mdl.forward_actions(params, cfg, clip.proposals, grid, RngStream(1),
                                      training=True)
         assert logits.requires_grad
+
+
+class CountingPool:
+    """A pool that counts its jobs submitted but not yet finished, and the most at once.
+
+    A job counts as finished when its function returns, a moment before its future
+    is done, so the count never exceeds what ``map_on_pool`` sees in flight.
+    """
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.lock = threading.Lock()
+        self.in_flight = self.most = 0
+        self.futures = []
+
+    def submit(self, fn, *args):
+        with self.lock:
+            self.in_flight += 1
+            self.most = max(self.most, self.in_flight)
+
+        def run():
+            try:
+                return fn(*args)
+            finally:
+                with self.lock:
+                    self.in_flight -= 1
+
+        self.futures.append(self.pool.submit(run))
+        return self.futures[-1]
+
+
+@pytest.fixture
+def counting_pool(two_window_workers, monkeypatch):
+    pool = CountingPool(two_window_workers)
+    monkeypatch.setattr(longterm, "_window_pool", lambda: pool)
+    return pool
+
+
+BOUND = 8  # jobs in flight: 4 per worker, on two_window_workers' 2
+
+
+class TestMapOnPool:
+    def test_in_flight_bounded_and_results_in_job_order(self, counting_pool):
+        drawn = []
+
+        def jobs():
+            for i in range(40):
+                drawn.append(i)
+                yield (i,)
+
+        def job(i):
+            time.sleep(0.005 + 0.001 * (i % 4))  # unequal, so jobs finish out of order
+            return i * i
+
+        assert map_on_pool(job, jobs()) == [i * i for i in range(40)]
+        assert counting_pool.most == BOUND and counting_pool.in_flight == 0
+        assert drawn == list(range(40))
+
+    def test_no_job_submitted_after_an_error(self, counting_pool):
+        def jobs():
+            yield (0,)
+            counting_pool.futures[0].exception(timeout=10)  # job 0 has raised
+            yield from ((i,) for i in range(1, 20))
+
+        def job(i):
+            raise ValueError(f"job {i}")
+
+        with pytest.raises(ValueError, match="job 0"):
+            map_on_pool(job, jobs())
+        assert len(counting_pool.futures) == 1
+
+    def test_submitted_jobs_end_before_first_error_in_job_order(self, counting_pool):
+        ended = []
+
+        def job(i):
+            try:
+                if i == 1:
+                    time.sleep(0.05)
+                    raise ValueError("job 1")
+                if i == 2:
+                    raise KeyError("job 2")  # raises first, but is later in job order
+                time.sleep(0.02)
+            finally:
+                ended.append(i)
+
+        with pytest.raises(ValueError, match="job 1"):
+            map_on_pool(job, ((i,) for i in range(40)))
+        submitted = len(counting_pool.futures)
+        assert submitted < 40
+        assert sorted(ended) == list(range(submitted))
+        assert all(f.done() for f in counting_pool.futures)
+
+    def test_iterable_error_waits_for_jobs_and_recording_resumes(self, counting_pool):
+        recorded = []
+
+        def jobs():
+            yield from ((i,) for i in range(3))
+            raise DimensionError("grid of clip 3")
+
+        def job(i):
+            time.sleep(0.05)
+            recorded.append(ad.reduce_sum(ad.Parameter("w", np.ones(2)).value).requires_grad)
+
+        with pytest.raises(DimensionError, match="grid of clip 3"):
+            with ad.no_grad():
+                map_on_pool(job, jobs())
+        assert recorded == [False, False, False]  # every job ended inside no_grad
+        assert ad.reduce_sum(ad.Parameter("w", np.ones(2)).value).requires_grad
+
+
+class TestOnePoolPass:
+    """Scoring many clips in one pool pass gives each clip's scores bit for bit."""
+
+    SUPPORTS = {"14.1": WindowingConfig(), "4.1": WindowingConfig(long_before=1.0,
+                                                                  long_after=1.0)}
+
+    @pytest.mark.parametrize("variant", ["unified", "decoder_only"])
+    @pytest.mark.parametrize("support,stacks", [("14.1", [3, 2, 2, 2, 2, 2]), ("4.1", [2, 1])])
+    def test_clips_equal_per_clip_run_windowed_bitwise(self, two_window_workers, monkeypatch,
+                                                       variant, support, stacks):
+        n_clips = 3
+        scenario = small_scenario(momentary_fraction=1.0, train_clips=n_clips)
+        cfg, params = tiny_model(scenario, layers=2, variant=variant)
+        clips = generate_dataset(scenario).train
+        windowing = self.SUPPORTS[support]
+        sizes = []
+        scores = longterm.action_scores
+
+        def counted(*job):
+            sizes.append(len(job[3]))
+            return scores(*job)
+
+        monkeypatch.setattr(longterm, "action_scores", counted)
+        together = run_windowed_clips(params, cfg, clips, windowing)
+        assert sorted(sizes) == sorted(stacks * n_clips)
+        assert len(together) == n_clips and all(ws.clip is c for ws, c in zip(together, clips))
+        for ws, clip in zip(together, clips):
+            alone = run_windowed(params, cfg, clip, windowing)
+            assert ws.offsets == alone.offsets == tuple(windowing.offsets)
+            assert ws.scores.shape == alone.scores.shape
+            assert ws.scores.tobytes() == alone.scores.tobytes()
+
+    def test_precompute_equals_per_clip_loop_bitwise(self, two_window_workers):
+        scenario = small_scenario(train_clips=5, num_actors=(2, 3))
+        cfg, params = tiny_model(scenario)
+        clips = generate_dataset(scenario).train
+        windowing, loss_cfg = WindowingConfig(long_before=2.0, long_after=2.0), LossConfig()
+        scores, targets = precompute_windowed(params, cfg, clips, windowing, loss_cfg)
+        loop_scores, loop_targets = [], []
+        for clip in clips:
+            ws = run_windowed(params, cfg, clip, windowing)
+            sigma, t = matched_targets(ground_truth_set(clip, len(clip.proposals)),
+                                       clip.proposals, loss_cfg)
+            loop_scores.append(ws.scores[:, :, list(sigma)])
+            loop_targets.append(t)
+        assert scores.tobytes() == np.stack(loop_scores).tobytes()
+        assert targets.tobytes() == np.stack(loop_targets).tobytes()
+
+    def test_jobs_of_different_k_and_grid_kinds(self, two_window_workers):
+        scenario = small_scenario()
+        cfg, params = tiny_model(scenario)
+        clips = generate_dataset(scenario).train
+        windowing = WindowingConfig(long_before=1.0, long_after=1.0)
+        grids = [[window_grid(c, iv) for _n, iv in windows(windowing, c.keyframe_time)]
+                 for c in clips]
+        jobs = [(clips[0].proposals[:1], [grids[0][1]]),
+                (clips[1].proposals, [np.stack(grids[1][:2]), grids[1][2][None]]),
+                (clips[2].proposals[:2], [np.stack(grids[2])])]
+        scores = longterm.score_jobs(params, cfg, jobs)
+        with ad.no_grad():
+            serial = [longterm.action_scores(params, cfg, clips[0].proposals[:1], grids[0][1]),
+                      *(np.stack([longterm.action_scores(params, cfg, p, g) for g in grids[c]])
+                        for c, p in ((1, clips[1].proposals), (2, clips[2].proposals[:2])))]
+        assert [s.shape[-1] for s in scores] == [1, len(clips[1].proposals), 2]
+        assert [s.tobytes() for s in scores] == [s.tobytes() for s in serial]
+
+    @pytest.mark.parametrize("variant", ["unified", "actor_only"])
+    def test_short_term_eval_equals_serial_loop(self, two_window_workers, variant):
+        scenario = small_scenario(eval_clips=5, num_actors=(1, 4), proposal_count=4)
+        cfg, params = tiny_model(scenario, variant=variant)
+        clips = generate_dataset(scenario).eval
+        windowing, tau = WindowingConfig(), 0.6
+        report = evaluate_short_term(params, cfg, clips, scenario, windowing,
+                                     proposal_mode="threshold", proposal_tau=tau)
+        scored = []
+        with ad.no_grad():
+            for clip in clips:
+                proposals = sample_proposals(clip.detections, scenario.proposal_count,
+                                             mode="threshold", tau=tau,
+                                             actor_dim=scenario.actor_dim)
+                grid = (None if variant == "actor_only"
+                        else keyframe_grid(clip, windowing.t_before, windowing.t_after))
+                scored.append((clip, proposals,
+                               longterm.action_scores(params, cfg, proposals, grid)))
+        # the threshold drops detections that the clips' top-k proposals keep
+        assert any([p.person_score for p in props] != [p.person_score for p in clip.proposals]
+                   for clip, props, _s in scored)
+        serial = training._evaluate_scored(scored, scenario)
+        assert report.per_class_ap == serial.per_class_ap
+        assert report.mean_ap == serial.mean_ap
 
 
 class TestAggregationTraining:

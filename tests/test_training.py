@@ -211,6 +211,22 @@ class TestShortTermTraining:
         with pytest.raises((ConfigError, ValidationError), match=match):
             load_train_state(path, opt_cfg())
 
+    def test_weights_without_windowing_name_cause_and_remedy(self, dataset, tmp_path):
+        # the format before fusion weights carried their windowing
+        path = tmp_path / "state.ckpt"
+        state = run(dataset, opt_cfg(epochs=1))
+        state.aggregation = AggregationWeights.initial(WindowingConfig(), MODEL.num_classes)
+        save_train_state(path, state, MODEL, SCENARIO)
+        sections, meta = load_checkpoint(path)
+        del meta["windowing"]
+        save_checkpoint(path, sections, meta)
+        with pytest.raises(ValidationError) as refused:
+            load_train_state(path, opt_cfg())
+        message = str(refused.value)
+        assert str(path) in message
+        assert "saved before they carried their windowing" in message
+        assert "refit them with `train --phase long`" in message
+
 
 class TestLongTermTraining:
     def test_frozen_phase_and_report(self, dataset):
