@@ -25,12 +25,12 @@ helpers. Fewer nodes mean fewer Python round trips per clip, which is
 what limits the worker threads: they hold the interpreter lock between
 numpy calls.
 
-Window stacks cut them further at inference: ``matmul``, ``linear``,
-``attention`` and ``transpose`` (of the last two axes) also take a (B, m, n)
-stack of B windows' matrices, each window's values equal to its own call
-bit for bit (the elementwise, ``layer_norm``, ``concat`` and ``narrow`` ops
-take any shape). Their backwards are 2-D, so recording a stack raises
-``ContractError``.
+Stacks cut them further: ``matmul``, ``linear``, ``attention``, ``transpose``
+(of the last two axes) and ``gather_rows`` also take a (B, m, n) stack of B
+clips' or windows' matrices (the elementwise ops and ``layer_norm`` take any
+shape), each one's values and gradient terms equal to its own call's bit for
+bit. A parameter's terms from a stack keep a leading clip axis, which
+``accumulate`` folds clip by clip, the order of one tape per clip.
 """
 
 from __future__ import annotations
@@ -158,54 +158,45 @@ class Parameter:
 # operations
 
 
-def _stacked(op: str, *ts: Tensor):
-    """Refuse a window stack among the operands where the op would record."""
-    for t in ts:  # a plain loop: this runs on every training op
-        if t.data.ndim > 2 and _recording and any(t.requires_grad for t in ts):
-            raise ContractError(f"{op}: a window stack is inference-only; run it under no_grad")
-
-
 def _matrices(op: str, *ts: Tensor):
-    """Refuse operands other than matrices and window stacks, and a stack the op would record."""
+    """Refuse operands other than matrices and stacks."""
     for t in ts:
         if t.data.ndim not in (2, 3):
-            raise DimensionError(f"{op} expects 2-D tensors or window stacks, got "
+            raise DimensionError(f"{op} expects 2-D tensors or stacks, got "
                                  f"{' and '.join(str(t.shape) for t in ts)}")
-    _stacked(op, *ts)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of a [m,k] and b [k,n]; either may be a window stack."""
+    """Matrix product of a [m,k] and b [k,n]; either may be a stack."""
     _matrices("matmul", a, b)
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     out = a.data @ b.data
 
     def bwd(g):
-        return (g @ b.data.T if a.requires_grad else None,
-                a.data.T @ g if b.requires_grad else None)
+        return (g @ b.data.swapaxes(-1, -2) if a.requires_grad else None,
+                a.data.swapaxes(-1, -2) @ g if b.requires_grad else None)
 
     return _wrap(out, (a, b), bwd)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Dense layer over the rows of x [m, k] or of each window of x [B, m, k]: x wᵀ + b,
-    with w [n, k] and b [n].
+    """Dense layer over the rows of x [m, k] or of each matrix of a stack x [B, m, k]:
+    x wᵀ + b, with w [n, k] and b [n].
 
     One node, equal bit for bit to ``add_rowvec(matmul(x, transpose(w)), b)``.
     """
     if (x.data.ndim not in (2, 3) or w.data.ndim != 2 or x.shape[-1] != w.shape[1]
             or b.data.shape != (w.shape[0],)):
         raise DimensionError(f"linear: rows {x.shape}, weight {w.shape}, bias {b.shape}")
-    _stacked("linear", x, w, b)
     wt = w.data.T.copy()
     out = x.data @ wt
     out += b.data
 
     def bwd(g):
         return (g @ wt.T if x.requires_grad else None,
-                (x.data.T @ g).T if w.requires_grad else None,
-                g.sum(axis=0) if b.requires_grad else None)
+                (x.data.swapaxes(-1, -2) @ g).swapaxes(-1, -2) if w.requires_grad else None,
+                g.sum(axis=-2) if b.requires_grad else None)  # each clip's own rows
 
     return _wrap(out, (x, w, b), bwd)
 
@@ -247,9 +238,9 @@ def mul_rowvec(x: Tensor, v: Tensor) -> Tensor:
 
 
 def transpose(x: Tensor) -> Tensor:
-    """Swap the last two axes of a matrix or window stack."""
+    """Swap the last two axes of a matrix or stack."""
     _matrices("transpose", x)
-    return _wrap(x.data.swapaxes(-1, -2).copy(), (x,), lambda g: (g.T,))
+    return _wrap(x.data.swapaxes(-1, -2).copy(), (x,), lambda g: (g.swapaxes(-1, -2),))
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
@@ -285,8 +276,10 @@ def narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:
-    """Select rows of a 2-D tensor; duplicate indices sum in the backward."""
+    """Select rows of a 2-D tensor, or of each matrix of a stack by its own row of a
+    (B, r) index array; duplicate indices sum in the backward."""
     idx = np.asarray(indices, dtype=np.int64)
+    idx = (np.arange(len(idx))[:, None], idx) if idx.ndim == 2 else idx
 
     def bwd(g):
         full = np.zeros(x.data.shape)
@@ -349,9 +342,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out = xhat * gain.data + bias.data
 
     def bwd(g):
-        lead = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=lead)
-        dbias = g.sum(axis=lead)
+        rows = tuple(range(g.ndim - 1))[-1:]  # a stack's clips sum their own rows
+        dgain = (g * xhat).sum(axis=rows)
+        dbias = g.sum(axis=rows)
         dxhat = g * gain.data
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
@@ -370,15 +363,16 @@ def _softmax(s: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
-    """Gradient through a softmax whose output is ``y``, given the output gradient ``g``."""
-    dot = (g * y).sum(axis=axis, keepdims=True)
-    return y * (g - dot)
+    """Gradient through a softmax of output ``y``, computed in place in its gradient ``g``."""
+    g -= (g * y).sum(axis=axis, keepdims=True)
+    g *= y
+    return g
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Stabilized softmax along one axis."""
     y = _softmax(x.data.copy(), axis)
-    return _wrap(y, (x,), lambda g: (_softmax_grad(y, g, axis),))
+    return _wrap(y, (x,), lambda g: (_softmax_grad(y, g.copy(), axis),))
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -419,11 +413,12 @@ def logit(x: Tensor, eps: float = 1e-9) -> Tensor:
     return _wrap(out, (x,), lambda g: (np.where(inside, g / (q * (1.0 - q)), 0.0),))
 
 
-def dropout(x: Tensor, rate: float, rng: RngStream, training: bool) -> Tensor:
+def dropout(x: Tensor, rate: float, rng: RngStream | Sequence[RngStream],
+            training: bool) -> Tensor:
     """Zero entries with probability ``rate`` and rescale survivors.
 
-    The mask is a pure function of ``rng``. Inference mode returns the
-    input unchanged (bit-identical).
+    The mask is a pure function of ``rng``: one stream, or one per clip of a
+    stack. Inference mode returns the input unchanged (bit-identical).
     """
     if not _drops(rate, training):
         return x
@@ -438,9 +433,12 @@ def _drops(rate: float, training: bool) -> bool:
     return training and rate != 0.0
 
 
-def _dropout_mask(shape: tuple, rate: float, rng: RngStream) -> np.ndarray:
-    """Survivors 1 / (1 - rate), dropped entries 0; a pure function of ``rng``."""
-    return (rng.generator().random(shape) >= rate) / (1.0 - rate)
+def _dropout_mask(shape: tuple, rate: float, rng: RngStream | Sequence[RngStream]) -> np.ndarray:
+    """Survivors 1 / (1 - rate), dropped entries 0; a pure function of ``rng``: one stream,
+    or a sequence of one per clip of a (B, ...) stack, each clip's mask its own."""
+    if isinstance(rng, RngStream):
+        return (rng.generator().random(shape) >= rate) * (1.0 / (1.0 - rate))
+    return np.stack([_dropout_mask(shape[1:], rate, r) for r in rng])
 
 
 def _join_heads(blocks: list, shape: tuple) -> np.ndarray:
@@ -458,8 +456,9 @@ def _join_heads(blocks: list, shape: tuple) -> np.ndarray:
     return full
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, rate: float, rng: RngStream,
-              training: bool, sink: list | None = None, layer: int = 0) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, rate: float,
+              rng: RngStream | Sequence[RngStream], training: bool, sink: list | None = None,
+              layer: int = 0) -> Tensor:
     """Multi-head dot-product attention of query rows q [m, d] over key/value rows k, v [n, d].
 
     Head h reads columns [h d/heads, (h + 1) d/heads). Its weights are
@@ -469,8 +468,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, rate: float, rng: Rng
     node equal bit for bit to the narrow / transpose / matmul / softmax /
     dropout / concat composition. Heads run one at a time, so no
     (heads, m, n) stack is formed, and without recording no head's arrays
-    outlive its turn. Window stacks q [B, m, d], k, v [B, n, d] run this
-    body once per window, in order.
+    outlive its turn; the tape keeps each head's softmax output and mask, not their
+    product. Stacks q [B, m, d], k, v [B, n, d] run this body once per matrix, in
+    order, matrix b drawing from ``rng[b]`` if ``rng`` holds one stream per clip.
     """
     _matrices("attention", q, k, v)
     if k.shape != v.shape or q.shape[:-2] != k.shape[:-2] or k.shape[-1] != q.shape[-1]:
@@ -482,35 +482,43 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, rate: float, rng: Rng
     dh = q.shape[-1] // heads
     cols = [slice(h * dh, (h + 1) * dh) for h in range(heads)]
     out = np.empty(q.shape)
-    saved = []  # per head: softmax output, dropout mask, dropped weights
-    windows = (t.reshape(-1, *t.shape[-2:]) for t in (q.data, k.data, v.data, out))
-    for qw, kw, vw, ow in zip(*windows):  # only one window is ever recorded: bwd reads its kt
+    mats = [t.reshape(-1, *t.shape[-2:]) for t in (q.data, k.data, v.data)]
+    streams = [rng] * len(mats[0]) if isinstance(rng, RngStream) else rng
+    saved = []  # per matrix: its kᵀ and each head's softmax output and dropout mask
+    for qw, kw, vw, ow, r in zip(*mats, out.reshape(-1, *out.shape[-2:]), streams):
         kt = kw.T.copy()  # head h's k_hᵀ is the contiguous row block kt[cols[h]]
+        kept = []
         for h, c in enumerate(cols):
             y = _softmax(qw[:, c] @ kt[c], -1)
             if sink is not None:
                 sink.append((layer, h, y.copy()))
-            mask = _dropout_mask(y.shape, rate, rng.child(0, h)) if drops else None
-            w = y * mask if drops else y
-            ow[:, c] = w @ vw[:, c]
+            mask = _dropout_mask(y.shape, rate, r.child(0, h)) if drops else None
+            ow[:, c] = (y * mask if drops else y) @ vw[:, c]
             if record:
-                saved.append((y, mask, w))
+                kept.append((y, mask))
+        if record:
+            saved.append((kt, kept))
 
     def bwd(g):
-        dq, dk, dv = [], [], []
-        for c, (y, mask, w) in zip(cols, saved):
-            gh = g[:, c]
-            if v.requires_grad:
-                dv.append(w.T @ gh)
-            if q.requires_grad or k.requires_grad:
-                dw = gh @ v.data[:, c].T
-                ds = _softmax_grad(y, dw if mask is None else dw * mask, -1)
-                if q.requires_grad:
-                    dq.append(ds @ kt[c].T)
-                if k.requires_grad:
-                    dk.append((q.data[:, c].T @ ds).T)
-        return tuple(_join_heads(d, t.shape) if t.requires_grad else None
-                     for d, t in ((dq, q), (dk, k), (dv, v)))
+        grads = []  # per matrix: the heads' (dq, dk, dv) blocks
+        for (kt, kept), gw, qw, vw in zip(saved, g.reshape(-1, *g.shape[-2:]), mats[0], mats[2]):
+            dq, dk, dv = [], [], []
+            for c, (y, mask) in zip(cols, kept):
+                gh = gw[:, c]
+                if v.requires_grad:
+                    dv.append((y if mask is None else y * mask).T @ gh)
+                if q.requires_grad or k.requires_grad:
+                    dw = gh @ vw[:, c].T
+                    if mask is not None:
+                        dw *= mask
+                    ds = _softmax_grad(y, dw, -1)
+                    if q.requires_grad:
+                        dq.append(ds @ kt[c].T)
+                    if k.requires_grad:
+                        dk.append((qw[:, c].T @ ds).T)
+            grads.append((dq, dk, dv))
+        return tuple(np.stack([_join_heads(d[i], t.shape[-2:]) for d in grads]).reshape(t.shape)
+                     if t.requires_grad else None for i, t in enumerate((q, k, v)))
 
     return _wrap(out, (q, k, v), bwd)
 
@@ -580,6 +588,7 @@ def leaf_gradients(loss: Tensor, seed=None) -> dict:
     """Each parameter leaf's gradient terms, in the order ``backward`` adds them.
 
     ``seed`` is the gradient of the loss itself, ones by default. No ``.grad`` is written.
+    A leaf read by a stack's op gets (B, *leaf shape) terms, one slice per clip.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -597,10 +606,13 @@ def leaf_gradients(loss: Tensor, seed=None) -> dict:
 
 
 def accumulate(parts: Sequence[dict]):
-    """Add ``leaf_gradients`` results to ``.grad``, each leaf's terms summed in the order given."""
+    """Add ``leaf_gradients`` results to ``.grad``, each leaf's terms summed in the order given,
+    a stack's clip by clip, then term by term, as one part per clip would add them."""
     terms: dict = {}
     for part in parts:
         for leaf, leaf_terms in part.items():
+            if np.ndim(leaf_terms[0]) > leaf.data.ndim:  # a stack's: one slice per clip
+                leaf_terms = [t[b] for b in range(len(leaf_terms[0])) for t in leaf_terms]
             terms.setdefault(leaf, []).extend(leaf_terms)
     for leaf, leaf_terms in terms.items():
         g = functools.reduce(np.add, leaf_terms)

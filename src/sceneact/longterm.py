@@ -21,9 +21,10 @@ a class, and the fit starts from the one-hot keyframe weights, i.e. the
 short-term model. ``map_on_pool`` runs the forwards of every window, of
 the short-term eval and of each phase-1 step on one thread per usable CPU,
 with at most four jobs per worker in flight, so lazily built grids stay
-few in memory. ``score_jobs`` scores many clips in one such pass: phase 2
-makes one over its train clips and one over its eval clips, the short-term
-eval one over its clips. ``cmd_eval`` still calls ``run_windowed`` clip by
+few in memory; ``stack_runs`` cuts a clip's windows, or a phase-1 step's
+clips, into the stacks its jobs take. ``score_jobs`` scores many clips in
+one such pass: phase 2 makes one over its train clips and one over its eval
+clips, the short-term eval one over its clips. ``cmd_eval`` still calls ``run_windowed`` clip by
 clip, once per strategy, as the benchmark's ``eval_sweep`` check expects.
 """
 
@@ -158,6 +159,13 @@ def map_on_pool(fn, jobs) -> list:
     return [f.result() for f in futures]
 
 
+def stack_runs(n: int) -> list[np.ndarray]:
+    """Contiguous index runs cutting n windows or clips into one stack per pool job: the
+    most runs, a multiple of the worker count, of two or more items each, else one per
+    worker or item (on 2 workers: 13 items give 3, 2, 2, 2, 2, 2; 4 give 2, 2; 3 give 2, 1)."""
+    return np.array_split(np.arange(n), min(n, _WORKERS * max(1, n // (2 * _WORKERS))))
+
+
 def action_scores(params: mdl.ModelParams, cfg: mdl.ModelConfig, proposals, grid) -> np.ndarray:
     """Post-sigmoid scores of one proposal set on one grid, (num_classes, K), or on a
     (B, C', N) grid stack, (B, num_classes, K)."""
@@ -190,16 +198,13 @@ def run_windowed_clips(params: mdl.ModelParams, cfg: mdl.ModelConfig, clips: lis
     """Inference over every window of every clip; boxes and proposals stay the keyframe's.
 
     Each clip's grids are built in window order (so are their clamp log lines) and go
-    to ``score_jobs`` as contiguous window stacks: the most stacks, a multiple of the
-    worker count, of at least two windows each (13 windows on 2 workers: 3, 2, 2, 2,
-    2, 2), else one per worker or window. A stack's windows share each numpy call, so
-    the workers trade the interpreter lock less often; scores are bit-identical to a
-    serial loop's.
+    to ``score_jobs`` as the contiguous window stacks of ``stack_runs``. A stack's
+    windows share each numpy call, so the workers trade the interpreter lock less
+    often; scores are bit-identical to a serial loop's.
     """
     def stacks(clip):
         intervals = [interval for _n, interval in windows(windowing, clip.keyframe_time)]
-        runs = min(len(intervals), _WORKERS * max(1, len(intervals) // (2 * _WORKERS)))
-        for part in np.array_split(np.arange(len(intervals)), runs):
+        for part in stack_runs(len(intervals)):
             yield np.stack([window_grid(clip, intervals[i]) for i in part])
 
     scores = score_jobs(params, cfg, ((clip.proposals, stacks(clip)) for clip in clips))

@@ -139,10 +139,12 @@ def set_loss(logits: ad.Tensor, sigma, targets: np.ndarray, cfg: LossConfig) -> 
     """Focal classification loss over matched targets, as a tape scalar.
 
     ``logits`` is (num_classes, K); ``sigma`` and the (K, num_classes)
-    ``targets`` come from ``matched_targets``.
+    ``targets`` come from ``matched_targets``. B clips' stacked logits, sigmas
+    and targets give their B losses, each its own call's bit for bit.
     """
-    if targets.shape != logits.shape[::-1]:
+    if targets.shape != (*logits.shape[:-2], logits.shape[-1], logits.shape[-2]):
         raise ContractError(f"logits {logits.shape} do not fit targets {targets.shape}")
-    rows = ad.transpose(logits)  # (K, num_classes)
-    ordered = ad.gather_rows(rows, list(sigma))  # row i = prediction sigma(i)
-    return ad.reduce_sum(ad.focal_from_logits(ordered, targets, cfg.focal_alpha, cfg.focal_gamma))
+    rows = ad.transpose(logits)  # (K, num_classes), per clip
+    ordered = ad.gather_rows(rows, sigma)  # row i = prediction sigma(i)
+    focal = ad.focal_from_logits(ordered, targets, cfg.focal_alpha, cfg.focal_gamma)
+    return ad.reduce_sum(focal, axis=(1, 2) if logits.data.ndim == 3 else None)

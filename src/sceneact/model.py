@@ -32,8 +32,9 @@ rows the head reads; its keys and values still cover all K + N tokens.
 This is exact: all but keys and values is row-wise, and Philox fills in C
 order, so a (K, ...) dropout mask is the first K rows of the (K + N, ...) one.
 Dropout streams are derived from the forward's ``rng`` only when training.
-At inference, ``forward_actions`` also takes a (B, C', N) stack of B window
-grids, which runs each op once per stack (``autodiff``'s window stacks).
+``forward_actions`` also runs B clips through each op at once (``autodiff``'s
+stacks), in training as at inference, each clip's masks from its own stream,
+or one proposal set over a stack of B window grids.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ from .errors import ConfigError, ContractError, DimensionError
 from .rng import RngStream
 
 LAYER_NORM_EPS = 1e-5
+
+Streams = RngStream | list[RngStream]  # dropout streams: one, or one per clip of a stack
 
 VARIANTS = ("unified", "decoder_only", "encoder_decoder", "actor_only")
 SELF_STACK = ("unified", "actor_only")  # the variants encode() runs, blocks named enc{l}
@@ -210,20 +213,27 @@ def sinusoidal_pe(n: int, d: int) -> np.ndarray:
     return pe
 
 
-def embed_actors(proposals, params: ModelParams) -> Tensor:
-    """Columns E_a f + E_g g per proposal, in order; g is the box's corners, width, height."""
-    c = params.actor_proj.shape[1]
-    feats = []
-    geoms = []
+def _actor_inputs(proposals, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """One proposal set's (C, K) features and (6, K) geometry: box corners, width, height."""
+    feats, geoms = [], []
     for p in proposals:
         f = np.asarray(p.feature, dtype=np.float64)
         if f.shape != (c,):
             raise DimensionError(f"actor feature shape {f.shape}, expected ({c},)")
         feats.append(f)
         geoms.append([*p.box.corners(), p.box.width, p.box.height])
-    f_a = Tensor(np.stack(feats, axis=1))  # (C, K)
-    g = Tensor(np.array(geoms).T)  # (6, K)
-    return ad.add(ad.matmul(params.actor_proj.value, f_a), ad.matmul(params.geom_proj.value, g))
+    return np.stack(feats, axis=1), np.array(geoms).T
+
+
+def embed_actors(proposals, params: ModelParams) -> Tensor:
+    """Columns E_a f + E_g g per proposal, in order, (D, K); B proposal sets give (B, D, K)."""
+    c = params.actor_proj.shape[1]
+    if isinstance(proposals[0], (list, tuple)):  # B clips' proposal sets
+        f_a, g = (np.stack(x) for x in zip(*(_actor_inputs(p, c) for p in proposals)))
+    else:
+        f_a, g = _actor_inputs(proposals, c)
+    return ad.add(ad.matmul(params.actor_proj.value, Tensor(f_a)),
+                  ad.matmul(params.geom_proj.value, Tensor(g)))
 
 
 def embed_scene(grid: np.ndarray, params: ModelParams) -> Tensor:
@@ -241,9 +251,12 @@ def embed_scene(grid: np.ndarray, params: ModelParams) -> Tensor:
 # attention stacks (row-token layout internally: (tokens, D), or (B, tokens, D))
 
 
-def _child(rng: RngStream, training: bool, *indices: int) -> RngStream:
-    """``rng.child(*indices)`` when training; inference draws no dropout, so it derives nothing."""
-    return rng.child(*indices) if training else rng
+def _child(rng: Streams, training: bool, *indices: int) -> Streams:
+    """``rng.child(*indices)``, or each clip's stream's, when training; inference draws no
+    dropout, so it derives nothing."""
+    if not training:
+        return rng
+    return rng.child(*indices) if isinstance(rng, RngStream) else [r.child(*indices) for r in rng]
 
 
 def _mha(
@@ -251,7 +264,7 @@ def _mha(
     kv_rows: Tensor,
     attn: AttentionParams,
     cfg: ModelConfig,
-    rng: RngStream,
+    rng: Streams,
     training: bool,
     sink: list | None,
     layer: int,
@@ -265,7 +278,7 @@ def _mha(
     return ad.dropout(out, cfg.dropout, _child(rng, training, 1), training)
 
 
-def _mlp(x: Tensor, blk, cfg: ModelConfig, rng: RngStream, training: bool) -> Tensor:
+def _mlp(x: Tensor, blk, cfg: ModelConfig, rng: Streams, training: bool) -> Tensor:
     h = ad.gelu(ad.linear(x, blk.w1.value, blk.b1.value))
     out = ad.linear(h, blk.w2.value, blk.b2.value)
     return ad.dropout(out, cfg.dropout, _child(rng, training, 2), training)
@@ -276,7 +289,7 @@ def _block(
     blk: BlockParams,
     sources: list[Tensor | None],
     cfg: ModelConfig,
-    rng: RngStream,
+    rng: Streams,
     training: bool,
     sink: list | None,
     layer: int,
@@ -303,7 +316,7 @@ def encode(
     scene_tokens: Tensor | None,
     params: ModelParams,
     cfg: ModelConfig,
-    rng: RngStream,
+    rng: Streams,
     training: bool = False,
     attn_sink: list | None = None,
 ) -> Tensor:
@@ -327,7 +340,7 @@ def encode_variant(
     scene_tokens: Tensor,
     params: ModelParams,
     cfg: ModelConfig,
-    rng: RngStream,
+    rng: Streams,
     training: bool = False,
     attn_sink: list | None = None,
 ) -> Tensor:
@@ -357,7 +370,7 @@ def forward_actions(
     cfg: ModelConfig,
     proposals,
     grid: np.ndarray | None,
-    rng: RngStream,
+    rng: Streams,
     training: bool = False,
     attn_sink: list | None = None,
 ) -> Tensor:
@@ -366,16 +379,17 @@ def forward_actions(
     ``grid`` is ``synthdata.window_grid``'s (C', N) token matrix for the
     scene-reading variants, and None for ``actor_only``, whose stack then
     sees only the K actor columns; any other pairing is a ``ContractError``.
-    At inference, a (B, C', N) stack of grids gives (B, num_classes, K) logits,
-    each window's equal to its own forward bit for bit; the actors are embedded once.
+    B clips (B proposal sets, a (B, C', N) grid stack or None, B streams in
+    ``rng``), or one proposal set over B window grids, give (B, num_classes, K)
+    logits, each clip's logits and gradient terms its own forward's bit for bit.
     """
     if (grid is None) != (cfg.variant == "actor_only"):
         raise ContractError(
             f"variant {cfg.variant!r} takes {'a' if grid is None else 'no'} scene grid")
     a = embed_actors(proposals, params)
     v = embed_scene(grid, params) if grid is not None else None
-    if v is not None and v.data.ndim == 3:  # a stack, so nothing records: copy the actors
-        a = Tensor(np.broadcast_to(a.data, (v.shape[0], *a.shape)))
+    if v is not None and v.data.ndim > a.data.ndim:  # one proposal set on every window
+        a = ad.concat([ad.reshape(a, (1, *a.shape))] * v.shape[0], axis=0)
     if cfg.variant in SELF_STACK:
         actors = encode(a, v, params, cfg, rng, training, attn_sink)
     else:

@@ -4,11 +4,12 @@ Phase 1 trains the relation model on short keyframe windows with
 temporal augmentation: embed, relate, classify, set loss, backward,
 clipped AdamW step. Each train clip's match and padded targets are
 constants of the data, computed once per call before the first step. A
-step's clips run on the worker pool, and their losses and gradient terms
-are summed in clip order, the order one backward of the batch loss adds
-them, so a step is bit-identical on any number of CPUs. Neither loop
-builds a scene grid for an ``actor_only`` model. Phase 2 freezes the
-model and fits only the aggregation weights on long clips. All
+step records one tape per ``longterm.stack_runs`` stack of clips on the
+pool, and the losses and gradient terms are summed in clip order, the order
+one backward of the batch loss adds them, so a step is bit-identical on any
+number of CPUs. Neither loop builds a scene grid for an ``actor_only``
+model. Phase 2 freezes the model and fits only the aggregation weights on
+long clips. All
 randomness (batch order, augmentation offsets, dropout masks) derives
 from the run seed through named sub-streams indexed by epoch and step,
 so a run is a pure function of its configuration and resuming from a
@@ -38,6 +39,7 @@ from .longterm import (
     run_windowed,
     run_windowed_clips,
     score_jobs,
+    stack_runs,
     train_aggregation,
 )
 from .matching import LossConfig, matched_targets, set_loss
@@ -194,11 +196,14 @@ def evaluate_short_term(
 
 
 def _clip_loss_and_gradients(params: ModelParams, cfg: ModelConfig, loss_cfg: LossConfig,
-                             clip: ClipSample, grid, target, dropout_rng: RngStream, seed):
-    """A clip's set loss on its ``matched_targets`` pair and ``ad.leaf_gradients`` from ``seed``."""
-    logits = mdl.forward_actions(params, cfg, clip.proposals, grid, dropout_rng, training=True)
-    loss = set_loss(logits, *target, loss_cfg)
-    return loss.data, ad.leaf_gradients(loss, seed)
+                             clips: list[ClipSample], grids, targets, dropout_rngs, seed):
+    """A stack of clips' set losses on their ``matched_targets`` pairs, on one tape, and
+    ``ad.leaf_gradients`` of their sum from ``seed``: every clip's backward starts at ``seed``."""
+    logits = mdl.forward_actions(params, cfg, [c.proposals for c in clips], grids,
+                                 dropout_rngs, training=True)
+    sigmas, labels = zip(*targets)
+    losses = set_loss(logits, sigmas, np.stack(labels), loss_cfg)
+    return losses.data, ad.leaf_gradients(ad.reduce_sum(losses), seed)
 
 
 def ground_truth_boxes(clip: ClipSample) -> list[GroundTruthBox]:
@@ -276,19 +281,22 @@ def train_short_term(
         for b0 in range(0, len(order), opt_cfg.batch_size):
             batch = order[b0 : b0 + opt_cfg.batch_size]  # clip indices
             clip_weight = np.ones(()) * (1.0 / len(batch))  # d(batch-mean loss)/d(clip loss)
-            jobs = []
+            grids, streams = [], []
             for j, i in enumerate(batch):
-                clip = clips[i]
                 aug = temporal_augment(
-                    clip, AUGMENT_RANGE,
+                    clips[i], AUGMENT_RANGE,
                     rng.child_named("aug").child(epoch, state.step, j),
                 )
-                grid = None if blind else keyframe_grid(aug, windowing.t_before, windowing.t_after)
-                jobs.append((params, model_cfg, loss_cfg, clip, grid, targets[i],
-                             rng.child_named("dropout").child(epoch, state.step, j), clip_weight))
+                grids.append(None if blind
+                             else keyframe_grid(aug, windowing.t_before, windowing.t_after))
+                streams.append(rng.child_named("dropout").child(epoch, state.step, j))
+            jobs = [(params, model_cfg, loss_cfg, [clips[i] for i in batch[part]],
+                     None if blind else np.stack([grids[j] for j in part]),
+                     [targets[i] for i in batch[part]], [streams[j] for j in part], clip_weight)
+                    for part in stack_runs(len(batch))]
             results = map_on_pool(_clip_loss_and_gradients, jobs)
             # clip-order sums, so neither the loss nor a gradient depends on thread timing
-            total = functools.reduce(np.add, [r[0] for r in results])
+            total = functools.reduce(np.add, [loss for r in results for loss in r[0]])
             loss_value = (total * (1.0 / len(batch))).item()
             if not np.isfinite(loss_value):
                 raise NanLossError(

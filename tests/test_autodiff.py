@@ -503,7 +503,7 @@ class TestFusedOps:
 
 
 class TestWindowStacks:
-    """Ops on a (B, m, n) window stack equal their per-window calls, and never record."""
+    """Ops on a (B, m, n) stack equal their per-window or per-clip calls, recorded or not."""
 
     def test_linear_equals_per_window_calls_bitwise(self):
         x = rand((3, 5, 8), 40)
@@ -526,15 +526,44 @@ class TestWindowStacks:
         assert [(layer, h, y.tobytes()) for layer, h, y in stack_sink] == \
             [(layer, h, y.tobytes()) for layer, h, y in window_sink]
 
-    def test_recording_a_stack_raises(self):
-        x = ad.Parameter("x", rand((2, 3, 4), 46))
-        w, b = ad.Tensor(rand((4, 4), 47)), ad.Parameter("b", rand((4,), 48)).value
-        ops = [lambda t: ad.linear(t, w, b), lambda t: ad.linear(ad.Tensor(t.data), w, b),
-               lambda t: ad.attention(t, t, t, 2, 0.0, RngStream(0), False), ad.transpose,
-               lambda t: ad.matmul(ad.Tensor(rand((5, 3), 49)), t)]
-        for op in ops:
-            with pytest.raises(ContractError, match="inference-only"):
-                op(x.value)
+    EXPRESSIONS = {  # each reaches the parameters through the op it is named after
+        "linear": lambda x, p, rng: ad.linear(x, p["w"], p["b"]),
+        "matmul": lambda x, p, rng: ad.matmul(p["left"], ad.matmul(x, p["w"])),
+        "attention": lambda x, p, rng: ad.attention(
+            ad.linear(x, p["w"], p["b"]), ad.matmul(x, p["w"]), ad.linear(x, p["w"], p["b"]),
+            2, 0.3, rng, True),
+        "transpose": lambda x, p, rng: ad.transpose(ad.linear(x, p["w"], p["b"])),
+        "layer_norm": lambda x, p, rng: ad.layer_norm(ad.linear(x, p["w"], p["b"]), p["gain"],
+                                                      p["b"]),
+    }
+
+    @pytest.mark.parametrize("op", sorted(EXPRESSIONS))
+    @pytest.mark.parametrize("clips", [1, 2, 3])
+    def test_recorded_stack_equals_per_clip_tapes_bitwise(self, op, clips):
+        params = {name: ad.Parameter(name, rand(shape, 46 + i)) for i, (name, shape) in
+                  enumerate([("w", (4, 4)), ("b", (4,)), ("left", (3, 5)), ("gain", (4,))])}
+        leaves = {name: p.value for name, p in params.items()}
+        streams = [RngStream(50).child(j) for j in range(clips)]
+
+        def tape(x, rng):
+            out = self.EXPRESSIONS[op](ad.Tensor(x), leaves, rng)
+            return out.data, ad.leaf_gradients(ad.reduce_sum(ad.gelu(out)))
+
+        x = rand((clips, 5, 4), 45)
+        stacked, terms = tape(x, streams)
+        single = [tape(xb, rng) for xb, rng in zip(x, streams)]
+        assert stacked.tobytes() == np.stack([out for out, _ in single]).tobytes()
+        assert terms.keys() == single[0][1].keys() and len(terms) >= 2
+        for leaf, leaf_terms in terms.items():
+            assert all(t.shape == (clips, *leaf.shape) for t in leaf_terms)
+            assert [t[b].tobytes() for b in range(clips) for t in leaf_terms] == \
+                [t.tobytes() for _, parts in single for t in parts[leaf]]
+        grads = []
+        for parts in ([terms], [parts for _, parts in single]):
+            for p in params.values():
+                p.zero_grad()
+            ad.accumulate(parts)
+            grads.append([p.grad.tobytes() for p in params.values()])
+        assert grads[0] == grads[1]
         with ad.no_grad():
-            for op in ops:
-                assert not op(x.value).requires_grad
+            assert not self.EXPRESSIONS[op](ad.Tensor(x), leaves, streams).requires_grad

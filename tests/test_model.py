@@ -642,7 +642,8 @@ class TestFullForwardGradient:
 
 
 class TestWindowStacks:
-    """A (B, C', N) grid stack scores like B single-grid forwards, at inference only."""
+    """A (B, C', N) grid stack scores like B single-grid forwards; a recorded stack of B
+    clips gives each clip its own tape's loss and gradient terms."""
 
     @pytest.mark.parametrize("variant", ["unified", "decoder_only", "encoder_decoder"])
     @pytest.mark.parametrize("windows", [1, 2, 3])
@@ -659,14 +660,37 @@ class TestWindowStacks:
         assert stacked.shape == (windows, 3, 4)
         assert stacked.data.tobytes() == np.stack(single).tobytes()
 
-    def test_recording_a_stack_raises(self):
-        cfg = tiny_cfg()
+    @pytest.mark.parametrize("variant", mdl.VARIANTS)
+    @pytest.mark.parametrize("clips", [1, 2, 3])
+    def test_recorded_clip_stack_equals_per_clip_tapes_bitwise(self, variant, clips):
+        from sceneact.matching import GroundTruthSet, LossConfig, matched_targets, set_loss
+
+        cfg, lcfg = tiny_cfg(variant=variant, dropout=0.3), LossConfig()
         params = mdl.init_params(cfg, 5, 6, RngStream(72))
         gen = RngStream(73).generator()
-        props = make_proposals(gen)
-        with pytest.raises(ContractError, match="inference-only"):
-            mdl.forward_actions(params, cfg, props, np.stack([make_grid(gen)] * 2),
-                                RngStream(0))
+        props = [make_proposals(gen, k=4) for _ in range(clips)]
+        grids = [None if variant == "actor_only" else make_grid(gen, h=3, w=3, t=2)
+                 for _ in range(clips)]
+        targets = [matched_targets(GroundTruthSet.build([p[j % 4].box], np.eye(3)[[j % 3]], 4),
+                                   p, lcfg) for j, p in enumerate(props)]
+        streams = [RngStream(74).child(j) for j in range(clips)]
+        single = []
+        for p, grid, target, rng in zip(props, grids, targets, streams):
+            loss = set_loss(mdl.forward_actions(params, cfg, p, grid, rng, training=True),
+                            *target, lcfg)
+            single.append((loss.data, ad.leaf_gradients(loss)))
+        logits = mdl.forward_actions(params, cfg, props,
+                                     None if variant == "actor_only" else np.stack(grids),
+                                     streams, training=True)
+        sigmas, labels = zip(*targets)
+        losses = set_loss(logits, sigmas, np.stack(labels), lcfg)
+        terms = ad.leaf_gradients(ad.reduce_sum(losses))
+        assert logits.shape == (clips, 3, 4)
+        assert losses.data.tobytes() == np.stack([loss for loss, _ in single]).tobytes()
+        assert terms.keys() == {p.value for p in params.parameters()}
+        for p in params.parameters():
+            assert [t[b].tobytes() for b in range(clips) for t in terms[p.value]] == \
+                [t.tobytes() for _, parts in single for t in parts[p.value]], p.name
 
     @pytest.mark.parametrize("variant", mdl.VARIANTS)
     def test_inference_derives_no_dropout_stream(self, variant, monkeypatch):

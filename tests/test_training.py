@@ -401,6 +401,30 @@ class TestParallelStep:
             sys.setswitchinterval(interval)
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
+    def test_step_stacks_clips_two_per_worker_with_one_checkpoint(self, dataset, tmp_path,
+                                                                   pool_of, monkeypatch):
+        real = training.map_on_pool
+        outputs = []
+        for workers, batch, sizes in ((2, 4, [[2, 2], [1, 1]]), (1, 3, [[3], [3]]),
+                                      (2, 3, [[2, 1], [2, 1]]), (4, 3, [[1, 1, 1], [1, 1, 1]])):
+            pool_of(workers)
+            monkeypatch.setattr(longterm, "_WORKERS", workers)
+            submitted = []
+
+            def counting(fn, jobs):
+                jobs = list(jobs)
+                submitted.append([len(job[3]) for job in jobs])  # the clips of each job
+                return real(fn, jobs)
+
+            monkeypatch.setattr(training, "map_on_pool", counting)
+            out = tmp_path / f"{workers}-{batch}"
+            train_short_term(dataset, MODEL, LossConfig(), opt_cfg(epochs=1, batch_size=batch),
+                             RngStream(5), windowing=WINDOW, out_dir=out)
+            assert submitted == sizes
+            if batch == 3:
+                outputs.append((out / "last.ckpt").read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
     def test_bad_clip_raises_in_caller_and_leaves_state(self, dataset, pool_of):
         pool_of(2)
         state = run(dataset, opt_cfg(epochs=1, batch_size=6))
