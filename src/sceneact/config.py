@@ -4,12 +4,12 @@ Loading is strict: unknown keys anywhere in the document are rejected
 (silent typos are the dominant config failure mode). ``decode_section``
 is the one decoder for config files, dataset manifests and checkpoint
 metadata: each value must have its default's type (an int may stand for
-a float, a bool is neither, a JSON list becomes a tuple), floats must be
-finite, and each section checks its own bounds; a refusal names its
-source and ``section.key``. A section overrides only the keys it names;
-the rest keep ``RunConfig()``'s values, so a partial model section edits
-the desk model. Every command logs the fully resolved configuration it
-ran with, plus a stable hash of it.
+a float and is stored as one, a bool is neither, a JSON list becomes a
+tuple), floats must be finite, and each section checks its own bounds; a
+refusal names its source and ``section.key``. A section overrides only the
+keys it names; the rest keep ``RunConfig()``'s values, so a partial model
+section edits the desk model. Every command logs the fully resolved
+configuration it ran with, plus a stable hash of it.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -65,11 +66,11 @@ _SECTIONS = {
 def decode_section(default, data, source: str, prefix: str = ""):
     """``default`` with the values ``data`` gives for some of its fields.
 
-    Each value must have its default's type: an int may stand for a float,
-    a bool counts as neither, a JSON list becomes a tuple and an object
-    decodes into a nested section. Floats must be finite. The class then
-    checks its own bounds; its errors start with the field they refuse, so
-    every refusal reads ``source: section.key ...``.
+    Each value must have its default's type: an int may stand for a float
+    and becomes one, a bool counts as neither, a JSON list becomes a tuple
+    and an object decodes into a nested section. Floats must be finite. The
+    class then checks its own bounds; its errors start with the field they
+    refuse, so every refusal reads ``source: section.key ...``.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{source}: {prefix.rstrip('.')}: expected an object")
@@ -80,7 +81,9 @@ def decode_section(default, data, source: str, prefix: str = ""):
             value = decode_section(want, value, source, f"{prefix}{key}.")
         elif isinstance(value, list):
             value = tuple(value)
-        if type(value) is not type(want) and not (type(want) is float and type(value) is int):
+        if type(want) is float and type(value) is int:  # stored as a float: one value, one hash
+            value = float(value) if abs(value) <= sys.float_info.max else math.inf
+        if type(value) is not type(want):
             raise ConfigError(f"{source}: {prefix}{key} is {value!r}, "
                               f"expected {type(want).__name__}")
         if isinstance(value, float) and not math.isfinite(value):

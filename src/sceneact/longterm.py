@@ -21,16 +21,17 @@ a class, and the fit starts from the one-hot keyframe weights, i.e. the
 short-term model. ``map_on_pool`` runs the forwards of every window, of
 the short-term eval and of each phase-1 step on one thread per usable CPU,
 with at most four jobs per worker in flight, so lazily built grids stay
-few in memory; ``stack_runs`` cuts a clip's windows, or a phase-1 step's
-clips, into the stacks its jobs take. ``score_jobs`` scores many clips in
-one such pass: phase 2 makes one over its train clips and one over its eval
-clips, the short-term eval one over its clips. ``cmd_eval`` still calls ``run_windowed`` clip by
-clip, once per strategy, as the benchmark's ``eval_sweep`` check expects.
+few in memory; ``stack_runs`` cuts a pass, or a phase-1 step's clips, into
+the stacks its jobs take. ``score_pass`` scores one flat stream of forwards
+in one pass: phase 2 streams its train clips' windows, then its eval clips',
+the short-term eval its clips' keyframes. ``cmd_eval`` still calls
+``run_windowed`` clip by clip, once per strategy, as ``eval_sweep`` expects.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -123,6 +124,7 @@ class WindowedScores:
 
 # one worker per usable CPU: the process's CPU affinity, where the platform has one
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+STACK_MAX = 3  # the most forwards (proposal sets on grids) one pool job stacks
 
 
 @functools.cache
@@ -160,55 +162,49 @@ def map_on_pool(fn, jobs) -> list:
 
 
 def stack_runs(n: int) -> list[np.ndarray]:
-    """Contiguous index runs cutting n windows or clips into one stack per pool job: the
-    most runs, a multiple of the worker count, of two or more items each, else one per
-    worker or item (on 2 workers: 13 items give 3, 2, 2, 2, 2, 2; 4 give 2, 2; 3 give 2, 1)."""
-    return np.array_split(np.arange(n), min(n, _WORKERS * max(1, n // (2 * _WORKERS))))
+    """Contiguous index runs cutting n forwards or clips into one stack per pool job: the
+    fewest runs, a multiple of the worker count, of at most ``STACK_MAX`` items, at most one
+    per item (on 2 workers: 13 items give 3, 2, 2, 2, 2, 2; 4 give 2, 2; 3 give 2, 1)."""
+    runs = _WORKERS * math.ceil(n / (STACK_MAX * _WORKERS))
+    return np.array_split(np.arange(n), min(n, runs)) if n else []
 
 
 def action_scores(params: mdl.ModelParams, cfg: mdl.ModelConfig, proposals, grid) -> np.ndarray:
-    """Post-sigmoid scores of one proposal set on one grid, (num_classes, K), or on a
-    (B, C', N) grid stack, (B, num_classes, K)."""
+    """Post-sigmoid scores of one proposal set on one grid, (num_classes, K), or of B
+    proposal sets on a (B, C', N) grid stack (None for ``actor_only``), (B, num_classes, K)."""
     logits = mdl.forward_actions(params, cfg, proposals, grid, RngStream(0), training=False)
     return ad._sigmoid(logits.data)
 
 
-def score_jobs(params: mdl.ModelParams, cfg: mdl.ModelConfig, jobs) -> list[np.ndarray]:
-    """Post-sigmoid scores of ``(proposals, grids)`` jobs in one ``map_on_pool`` pass, in
-    job order, each the concatenation of its grids' ``action_scores``. ``grids`` yields
-    (C', N) grids or (B, C', N) stacks, or one None for ``actor_only``; a lazy iterable
-    builds them in the calling thread just ahead of the workers."""
-    sizes = []
+def score_pass(params: mdl.ModelParams, cfg: mdl.ModelConfig, n: int, forwards) -> np.ndarray:
+    """(n, num_classes, K) scores of n ``(proposals, grid)`` forwards of one K (grid None
+    for ``actor_only``), each its own ``action_scores`` bit for bit, in one ``map_on_pool``
+    pass whose ``stack_runs(n)`` stacks span clips; a lazy ``forwards`` builds its grids in
+    the calling thread just ahead of the workers."""
+    forwards = iter(forwards)
 
-    def forwards():
-        for proposals, grids in jobs:
-            sizes.append(0)
-            for grid in grids:
-                sizes[-1] += 1
-                yield params, cfg, proposals, grid
+    def stacks():
+        for run in stack_runs(n):
+            proposals, grids = zip(*itertools.islice(forwards, len(run)))
+            yield params, cfg, list(proposals), None if grids[0] is None else np.stack(grids)
 
     # no_grad is process-wide: entered once here, it covers every worker
     with ad.no_grad():
-        flat = iter(map_on_pool(action_scores, forwards()))
-    return [np.concatenate([next(flat) for _ in range(n)]) for n in sizes]
+        scores = map_on_pool(action_scores, stacks())
+    return np.concatenate(scores) if scores else np.empty((0, cfg.num_classes, 0))
 
 
 def run_windowed_clips(params: mdl.ModelParams, cfg: mdl.ModelConfig, clips: list[ClipSample],
                        windowing: WindowingConfig) -> list[WindowedScores]:
     """Inference over every window of every clip; boxes and proposals stay the keyframe's.
-
-    Each clip's grids are built in window order (so are their clamp log lines) and go
-    to ``score_jobs`` as the contiguous window stacks of ``stack_runs``. A stack's
-    windows share each numpy call, so the workers trade the interpreter lock less
-    often; scores are bit-identical to a serial loop's.
-    """
-    def stacks(clip):
-        intervals = [interval for _n, interval in windows(windowing, clip.keyframe_time)]
-        for part in stack_runs(len(intervals)):
-            yield np.stack([window_grid(clip, intervals[i]) for i in part])
-
-    scores = score_jobs(params, cfg, ((clip.proposals, stacks(clip)) for clip in clips))
-    return [WindowedScores(c, tuple(windowing.offsets), s) for c, s in zip(clips, scores)]
+    One ``score_pass`` takes the grids, built clip by clip in window order (so are their
+    clamp log lines); scores are bit-identical to a serial loop's."""
+    offsets = tuple(windowing.offsets)
+    scores = score_pass(params, cfg, len(clips) * len(offsets), (
+        (clip.proposals, window_grid(clip, interval))
+        for clip in clips for _n, interval in windows(windowing, clip.keyframe_time)))
+    return [WindowedScores(c, offsets, scores[i * len(offsets):(i + 1) * len(offsets)])
+            for i, c in enumerate(clips)]
 
 
 def run_windowed(

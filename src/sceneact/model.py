@@ -33,8 +33,7 @@ This is exact: all but keys and values is row-wise, and Philox fills in C
 order, so a (K, ...) dropout mask is the first K rows of the (K + N, ...) one.
 Dropout streams are derived from the forward's ``rng`` only when training.
 ``forward_actions`` also runs B clips through each op at once (``autodiff``'s
-stacks), in training as at inference, each clip's masks from its own stream,
-or one proposal set over a stack of B window grids.
+stacks), in training as at inference, each clip's masks from its own stream.
 """
 
 from __future__ import annotations
@@ -380,16 +379,14 @@ def forward_actions(
     scene-reading variants, and None for ``actor_only``, whose stack then
     sees only the K actor columns; any other pairing is a ``ContractError``.
     B clips (B proposal sets, a (B, C', N) grid stack or None, B streams in
-    ``rng``), or one proposal set over B window grids, give (B, num_classes, K)
-    logits, each clip's logits and gradient terms its own forward's bit for bit.
+    ``rng``, or one stream at inference) give (B, num_classes, K) logits, each
+    clip's logits and gradient terms its own forward's bit for bit.
     """
     if (grid is None) != (cfg.variant == "actor_only"):
         raise ContractError(
             f"variant {cfg.variant!r} takes {'a' if grid is None else 'no'} scene grid")
     a = embed_actors(proposals, params)
     v = embed_scene(grid, params) if grid is not None else None
-    if v is not None and v.data.ndim > a.data.ndim:  # one proposal set on every window
-        a = ad.concat([ad.reshape(a, (1, *a.shape))] * v.shape[0], axis=0)
     if cfg.variant in SELF_STACK:
         actors = encode(a, v, params, cfg, rng, training, attn_sink)
     else:

@@ -170,13 +170,15 @@ def _round6(x: float) -> float:
     return round(float(x), 6)
 
 
-def _sample_box(gen: np.random.Generator) -> BoundingBox:
-    cx = gen.uniform(0.15, 0.85)
-    cy = gen.uniform(0.15, 0.85)
+def _rounded_box(*corners: float) -> BoundingBox:
+    return BoundingBox(*(_round6(c) for c in sanitize_box(*corners).corners()))
+
+
+def _sample_box(gen: np.random.Generator, center: tuple | None = None) -> BoundingBox:
+    cx, cy = center or (gen.uniform(0.15, 0.85), gen.uniform(0.15, 0.85))
     w = gen.uniform(*BOX_SIZE_RANGE)
     h = gen.uniform(*BOX_SIZE_RANGE)
-    box = sanitize_box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
-    return BoundingBox(*(_round6(c) for c in box.corners()))
+    return _rounded_box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
 
 
 @functools.lru_cache(maxsize=8)
@@ -226,10 +228,7 @@ def _place_actors(cfg: ScenarioConfig, gen: np.random.Generator):
             cy = a.center[1] + d * np.sin(angle)
             if not (0.15 <= cx <= 0.85 and 0.15 <= cy <= 0.85):
                 continue
-            w = gen.uniform(*BOX_SIZE_RANGE)
-            h = gen.uniform(*BOX_SIZE_RANGE)
-            b = sanitize_box(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
-            b = BoundingBox(*(_round6(c) for c in b.corners()))
+            b = _sample_box(gen, (cx, cy))
             ca, cb = _cell_of(*a.center), _cell_of(*b.center)
             mid = _cell_of(0.5 * (a.center[0] + b.center[0]),
                            0.5 * (a.center[1] + b.center[1]))
@@ -310,8 +309,7 @@ def generate_clip(cfg: ScenarioConfig, rng: RngStream, clip_id: str = "clip",
         if g_det.random() < cfg.false_negative_rate:
             continue
         jitter = g_det.normal(0.0, cfg.box_jitter, size=4)
-        det_box = sanitize_box(*(c + j for c, j in zip(box.corners(), jitter)))
-        det_box = BoundingBox(*(_round6(c) for c in det_box.corners()))
+        det_box = _rounded_box(*(c + j for c, j in zip(box.corners(), jitter)))
         score = g_det.uniform(CONFIDENCE_FLOOR, 0.98)
         detections.append(ActorProposal(det_box, _round6(score), appearances[i].copy()))
     free = max(0, cfg.proposal_count - len(detections))

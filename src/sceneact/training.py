@@ -38,7 +38,7 @@ from .longterm import (
     map_on_pool,
     run_windowed,
     run_windowed_clips,
-    score_jobs,
+    score_pass,
     stack_runs,
     train_aggregation,
 )
@@ -183,14 +183,14 @@ def evaluate_short_term(
     proposal_mode: str = "topk",
     proposal_tau: float = 0.0,
 ) -> EvalReport:
-    """Keyframe AP; proposals are sampled here in clip order, then ``score_jobs`` runs
-    every clip's keyframe forward in one pool pass, its grid built just ahead of it."""
+    """Keyframe AP; proposals are sampled here in clip order, then one ``score_pass`` runs
+    every clip's keyframe forward, its grid built just ahead of it."""
     blind = cfg.variant == "actor_only"
     proposals = [sample_proposals(clip.detections, scenario.proposal_count, mode=proposal_mode,
                                   tau=proposal_tau, actor_dim=scenario.actor_dim)
                  for clip in clips]
-    scores = score_jobs(params, cfg, (
-        (p, [None if blind else keyframe_grid(clip, windowing.t_before, windowing.t_after)])
+    scores = score_pass(params, cfg, len(clips), (
+        (p, None if blind else keyframe_grid(clip, windowing.t_before, windowing.t_after))
         for p, clip in zip(proposals, clips)))
     return _evaluate_scored(list(zip(clips, proposals, scores)), scenario)
 

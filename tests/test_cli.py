@@ -154,6 +154,10 @@ class TestConfigLoading:
                                 "scenario": {"num_actors": [1, 3]}})
         assert (cfg.optimizer.lr, cfg.model.dropout) == (1, 0)
         assert cfg.scenario.num_actors == (1, 3)
+        assert type(cfg.optimizer.lr) is float and type(cfg.model.dropout) is float
+        same = config_from_dict({"optimizer": {"lr": 1.0}, "model": {"dropout": 0.0},
+                                 "scenario": {"num_actors": [1, 3]}})
+        assert config_hash(cfg) == config_hash(same)
 
 
 class TestGenerate:

@@ -370,6 +370,25 @@ class TestMapOnPool:
         assert ad.reduce_sum(ad.Parameter("w", np.ones(2)).value).requires_grad
 
 
+class TestStackRuns:
+    """The fewest runs, a multiple of the worker count, of at most ``STACK_MAX`` items."""
+
+    @pytest.mark.parametrize("n,sizes", [
+        (0, []),
+        (1, [1]),
+        (3, [2, 1]),
+        (4, [2, 2]),
+        (13, [3, 2, 2, 2, 2, 2]),
+        (50, [3] * 14 + [2] * 4),
+        (650, [3] * 214 + [2] * 4),
+    ])
+    def test_sizes_on_two_workers(self, monkeypatch, n, sizes):
+        monkeypatch.setattr(longterm, "_WORKERS", 2)
+        runs = longterm.stack_runs(n)
+        assert [len(r) for r in runs] == sizes
+        assert np.array_equal(np.concatenate([np.arange(0), *runs]), np.arange(n))
+
+
 class TestOnePoolPass:
     """Scoring many clips in one pool pass gives each clip's scores bit for bit."""
 
@@ -377,7 +396,8 @@ class TestOnePoolPass:
                                                                   long_after=1.0)}
 
     @pytest.mark.parametrize("variant", ["unified", "decoder_only"])
-    @pytest.mark.parametrize("support,stacks", [("14.1", [3, 2, 2, 2, 2, 2]), ("4.1", [2, 1])])
+    @pytest.mark.parametrize("support,stacks", [("14.1", [3] * 11 + [2] * 3),  # 39 windows
+                                                ("4.1", [3, 2, 2, 2])])  # 9 windows
     def test_clips_equal_per_clip_run_windowed_bitwise(self, two_window_workers, monkeypatch,
                                                        variant, support, stacks):
         n_clips = 3
@@ -394,7 +414,7 @@ class TestOnePoolPass:
 
         monkeypatch.setattr(longterm, "action_scores", counted)
         together = run_windowed_clips(params, cfg, clips, windowing)
-        assert sorted(sizes) == sorted(stacks * n_clips)
+        assert sizes == stacks  # stacks span clips
         assert len(together) == n_clips and all(ws.clip is c for ws, c in zip(together, clips))
         for ws, clip in zip(together, clips):
             alone = run_windowed(params, cfg, clip, windowing)
@@ -418,23 +438,36 @@ class TestOnePoolPass:
         assert scores.tobytes() == np.stack(loop_scores).tobytes()
         assert targets.tobytes() == np.stack(loop_targets).tobytes()
 
-    def test_jobs_of_different_k_and_grid_kinds(self, two_window_workers):
-        scenario = small_scenario()
-        cfg, params = tiny_model(scenario)
+    @pytest.mark.parametrize("variant", mdl.VARIANTS)
+    def test_score_pass_stacks_across_clips_bitwise(self, two_window_workers, monkeypatch,
+                                                    variant):
+        scenario = small_scenario(train_clips=3)
+        cfg, params = tiny_model(scenario, layers=2, variant=variant)
         clips = generate_dataset(scenario).train
         windowing = WindowingConfig(long_before=1.0, long_after=1.0)
-        grids = [[window_grid(c, iv) for _n, iv in windows(windowing, c.keyframe_time)]
-                 for c in clips]
-        jobs = [(clips[0].proposals[:1], [grids[0][1]]),
-                (clips[1].proposals, [np.stack(grids[1][:2]), grids[1][2][None]]),
-                (clips[2].proposals[:2], [np.stack(grids[2])])]
-        scores = longterm.score_jobs(params, cfg, jobs)
+        forwards = [(c.proposals, None if variant == "actor_only" else window_grid(c, iv))
+                    for c in clips for _n, iv in windows(windowing, c.keyframe_time)]
+        sizes = []
+        scores = longterm.action_scores
+
+        def counted(*job):
+            sizes.append(len(job[2]))  # the job's proposal sets
+            return scores(*job)
+
+        monkeypatch.setattr(longterm, "action_scores", counted)
+        together = longterm.score_pass(params, cfg, len(forwards), iter(forwards))
         with ad.no_grad():
-            serial = [longterm.action_scores(params, cfg, clips[0].proposals[:1], grids[0][1]),
-                      *(np.stack([longterm.action_scores(params, cfg, p, g) for g in grids[c]])
-                        for c, p in ((1, clips[1].proposals), (2, clips[2].proposals[:2])))]
-        assert [s.shape[-1] for s in scores] == [1, len(clips[1].proposals), 2]
-        assert [s.tobytes() for s in scores] == [s.tobytes() for s in serial]
+            serial = [scores(params, cfg, p, g) for p, g in forwards]
+        assert sizes == [3, 2, 2, 2]  # 3 clips of 3 windows: the third stack straddles two
+        assert together.shape == (9, cfg.num_classes, scenario.proposal_count)
+        assert together.tobytes() == np.stack(serial).tobytes()
+
+    def test_zero_clips_score_nothing(self, two_window_workers):
+        scenario = small_scenario()
+        cfg, params = tiny_model(scenario)
+        assert run_windowed_clips(params, cfg, [], WindowingConfig()) == []
+        report = evaluate_short_term(params, cfg, [], scenario, WindowingConfig())
+        assert report.mean_ap == 0.0
 
     @pytest.mark.parametrize("variant", ["unified", "actor_only"])
     def test_short_term_eval_equals_serial_loop(self, two_window_workers, variant):

@@ -642,21 +642,24 @@ class TestFullForwardGradient:
 
 
 class TestWindowStacks:
-    """A (B, C', N) grid stack scores like B single-grid forwards; a recorded stack of B
-    clips gives each clip its own tape's loss and gradient terms."""
+    """B proposal sets on a (B, C', N) grid stack score like B single forwards; a recorded
+    stack of B clips gives each clip its own tape's loss and gradient terms."""
 
-    @pytest.mark.parametrize("variant", ["unified", "decoder_only", "encoder_decoder"])
+    @pytest.mark.parametrize("variant", mdl.VARIANTS)
     @pytest.mark.parametrize("windows", [1, 2, 3])
     def test_stack_equals_per_window_forwards_bitwise(self, variant, windows):
         cfg = tiny_cfg(variant=variant, dropout=0.3)
         params = mdl.init_params(cfg, 5, 6, RngStream(70))
         gen = RngStream(71).generator()
-        props = make_proposals(gen, k=4)
-        grids = [make_grid(gen, h=3, w=3, t=2) for _ in range(windows)]
+        props = [make_proposals(gen, k=4) for _ in range(windows)]
+        grids = [None if variant == "actor_only" else make_grid(gen, h=3, w=3, t=2)
+                 for _ in range(windows)]
         with ad.no_grad():
-            single = [mdl.forward_actions(params, cfg, props, g, RngStream(0)).data
-                      for g in grids]
-            stacked = mdl.forward_actions(params, cfg, props, np.stack(grids), RngStream(0))
+            single = [mdl.forward_actions(params, cfg, p, g, RngStream(0)).data
+                      for p, g in zip(props, grids)]
+            stacked = mdl.forward_actions(params, cfg, props,
+                                          None if variant == "actor_only" else np.stack(grids),
+                                          RngStream(0))
         assert stacked.shape == (windows, 3, 4)
         assert stacked.data.tobytes() == np.stack(single).tobytes()
 
