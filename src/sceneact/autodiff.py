@@ -31,6 +31,11 @@ clips' or windows' matrices (the elementwise ops and ``layer_norm`` take any
 shape), each one's values and gradient terms equal to its own call's bit for
 bit. A parameter's terms from a stack keep a leading clip axis, which
 ``accumulate`` folds clip by clip, the order of one tape per clip.
+
+A phase-2 fit epoch is ``window_sum``, ``logit`` and ``focal_from_logits`` over
+constant scores: ``window_sum`` reads window-major scores contiguously, ``_sigmoid``
+is branch-free and ``_focal`` shares one ``logaddexp`` between its softplus terms,
+each with the bits of the slower form it replaced (see their docstrings).
 """
 
 from __future__ import annotations
@@ -309,8 +314,13 @@ def window_sum(scores: np.ndarray, weights: Tensor) -> Tensor:
     """out[c, k, j] = sum_n scores[c, n, j, k] * weights[n, j], over constant ``scores``.
 
     Windows n are added one at a time into one buffer, so there is no
-    (clips, K, windows, classes) temporary, and the value and gradient
-    equal ``reduce_sum`` over the stacked product bit for bit.
+    (clips, K, windows, classes) temporary. Given two or more classes (one
+    makes numpy sum the windows and rows pairwise), the value and gradient
+    equal ``reduce_sum`` over the stacked product bit for bit, for any strides:
+    ``einsum`` adds each window's (c, k) rows in order into a zeroed row, as
+    ``sum(axis=(0, 1))`` does at three times the cost, so only which NaN two
+    NaNs give may differ. Window-major storage (each
+    ``scores[:, n].transpose(0, 2, 1)`` C-contiguous) makes every multiply contiguous.
     """
     if scores.ndim != 4 or weights.data.shape != scores.shape[1:3]:
         raise DimensionError(f"window_sum: weights {weights.shape} vs scores {scores.shape}")
@@ -319,8 +329,8 @@ def window_sum(scores: np.ndarray, weights: Tensor) -> Tensor:
     tmp = np.empty_like(out)
     for r, w in zip(rows[1:], weights.data[1:]):
         out += np.multiply(r, w, out=tmp)
-    return _wrap(out, (weights,),
-                 lambda g: (np.stack([np.multiply(g, r, out=tmp).sum(axis=(0, 1)) for r in rows]),))
+    return _wrap(out, (weights,), lambda g: (np.stack(
+        [np.einsum("ckj->j", np.multiply(g, r, out=tmp)) for r in rows]),))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -388,12 +398,12 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
+    """1 / (1 + e^-z) where z >= 0, else e^z / (1 + e^z), branch-free: one exp of -|z|
+    (of z where z >= 0 fails, so a NaN keeps its bits) serves both, each element with
+    the bits of its masked branch, +-0, +-inf and NaN included."""
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.where(pos, -z, z))
+    return np.where(pos, 1.0, e) / (1.0 + e)
 
 
 def _logit(p: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -523,23 +533,29 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, rate: float,
     return _wrap(out, (q, k, v), bwd)
 
 
-def _softplus(z: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, z)
-
-
 def _focal(x: np.ndarray, t: np.ndarray, alpha: float, gamma: float):
     """Sigmoid focal loss of logits ``x`` against 0/1 targets ``t``.
 
-    Returns the loss with p, -log p and -log(1-p), which the gradient
-    reuses. Stable at extreme logits through softplus; the positive term
-    is alpha * (1-p)^gamma * -log p.
+    Returns the loss with p, -log p, -log(1-p), 1-p, (1-p)^gamma and p^gamma,
+    which the gradient reuses; the positive term is alpha * (1-p)^gamma * -log p.
+    numpy's ``logaddexp(0, y)`` is ``log1p(exp(y))`` for y < 0, ``y + log1p(exp(-y))``
+    for y > 0 and log 2 at +-0, so with ``tail = logaddexp(0, -|x|)`` softplus(+-x)
+    is ``tail`` where +-x <= 0, else ``+-x + tail``: bit for bit, NaNs included.
     """
     p = _sigmoid(x)
-    sp_neg = _softplus(-x)  # -log p
-    sp_pos = _softplus(x)  # -log (1-p)
-    pos = alpha * np.power(1.0 - p, gamma) * sp_neg
-    neg = (1.0 - alpha) * np.power(p, gamma) * sp_pos
-    return t * pos + (1.0 - t) * neg, p, sp_neg, sp_pos
+    tail = np.logaddexp(0.0, np.where(x >= 0, -x, x))  # -|x|, or x itself where x is NaN
+    sp_neg = np.where(x >= 0, tail, -(x - tail))  # -log p; -(x - tail) is -x + tail, -x's NaN
+    sp_pos = np.where(x <= 0, tail, x + tail)  # softplus(x) = -log (1-p)
+    q = 1.0 - p
+    q_gamma, p_gamma = np.power(q, gamma), np.power(p, gamma)
+    loss = alpha * q_gamma  # t * pos + (1 - t) * neg, built in place
+    loss *= sp_neg
+    loss *= t
+    neg = (1.0 - alpha) * p_gamma
+    neg *= sp_pos
+    neg *= 1.0 - t
+    loss += neg
+    return loss, p, sp_neg, sp_pos, q, q_gamma, p_gamma
 
 
 def focal_from_logits(logits: Tensor, targets, alpha: float, gamma: float) -> Tensor:
@@ -550,12 +566,25 @@ def focal_from_logits(logits: Tensor, targets, alpha: float, gamma: float) -> Te
     t = np.asarray(targets, dtype=np.float64)
     if t.shape != logits.data.shape:
         raise DimensionError(f"focal targets {t.shape} vs logits {logits.shape}")
-    out, p, sp_neg, sp_pos = _focal(logits.data, t, alpha, gamma)
+    out, p, sp_neg, sp_pos, q, q_gamma, p_gamma = _focal(logits.data, t, alpha, gamma)
 
     def bwd(g):
-        dpos = -alpha * np.power(1.0 - p, gamma) * (gamma * p * sp_neg + (1.0 - p))
-        dneg = (1.0 - alpha) * np.power(p, gamma) * (gamma * (1.0 - p) * sp_pos + p)
-        return (g * (t * dpos + (1.0 - t) * dneg),)
+        # g * (t * dpos + (1 - t) * dneg) in place, with
+        # dpos = -alpha * (1-p)^gamma * (gamma * p * -log p + (1-p)) and
+        # dneg = (1 - alpha) * p^gamma * (gamma * (1-p) * -log(1-p) + p)
+        grad = gamma * p
+        grad *= sp_neg
+        grad += q
+        grad *= -alpha * q_gamma
+        grad *= t
+        dneg = gamma * q
+        dneg *= sp_pos
+        dneg += p
+        dneg *= (1.0 - alpha) * p_gamma
+        dneg *= 1.0 - t
+        grad += dneg
+        grad *= g
+        return (grad,)
 
     return _wrap(out, (logits,), bwd)
 

@@ -283,7 +283,8 @@ def aggregation_loss(
     The fused value sum_n w_n * s_n is a probability, so it is mapped to
     logit space with the clamp of the keyframe matching. The scores are
     constants; gradient flows only into the weight parameter. The graph
-    has the same few nodes for any number of clips and windows.
+    has the same few nodes for any number of clips and windows. Any layout
+    of ``scores`` gives the same bits; window-major is the fast one.
     """
     fused = ad.window_sum(scores, weight_param.value)
     focal = ad.focal_from_logits(ad.logit(fused, _PROB_EPS), targets,
@@ -303,15 +304,18 @@ def precompute_windowed(
     Returns ``scores`` (clips, windows, classes, K), whose proposal axis is
     permuted by each clip's keyframe match so that column i is the
     prediction matched to padded target i, and ``targets`` (clips, K,
-    classes), the clips' ``matched_targets`` labels.
+    classes), the clips' ``matched_targets`` labels. ``scores`` views
+    window-major (windows, clips, K, classes) storage, so each window's block
+    is contiguous for ``ad.window_sum``, which reads it twice per fit epoch.
     """
     all_scores, all_targets = [], []
     for ws in run_windowed_clips(params, cfg, clips, windowing):
         sigma, targets = matched_targets(ground_truth_set(ws.clip, len(ws.clip.proposals)),
                                          ws.clip.proposals, loss_cfg)
-        all_scores.append(ws.scores[:, :, list(sigma)])
+        # stacked on axis 1, C-contiguous (windows, K, classes) blocks lie window-major
+        all_scores.append(np.ascontiguousarray(ws.scores[:, :, list(sigma)].transpose(0, 2, 1)))
         all_targets.append(targets)
-    return np.stack(all_scores), np.stack(all_targets)
+    return np.stack(all_scores, axis=1).transpose(1, 0, 3, 2), np.stack(all_targets)
 
 
 def train_aggregation(

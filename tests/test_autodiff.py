@@ -2,11 +2,14 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sceneact import autodiff as ad
 from sceneact.errors import ConfigError, ContractError, DimensionError
 from sceneact.rng import RngStream
-from testkit import grad_check
+from testkit import grad_check, masked_sigmoid, two_softplus_focal
 
 
 def rand(shape, seed=0, lo=-2.0, hi=2.0):
@@ -108,6 +111,58 @@ class TestActivations:
         edge = ad.logit(ad.Tensor([0.0, 1.0, 2.0]), eps=1e-9).data
         np.testing.assert_allclose(edge, [-np.log(1e9 - 1), np.log(1e9 - 1),
                                           np.log(1e9 - 1)], rtol=1e-6)
+
+
+# signed zeros and infinities, NaNs of both signs and a signalling payload, exp's
+# overflow and underflow edges, float64's extremes and subnormals
+EDGE_LOGITS = np.concatenate([
+    np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 36.7, -36.7, 745.0, -745.0,
+              710.0, -710.0, 1e308, -1e308, 5e-324, -5e-324, 2.2e-308, -2.2e-308]),
+    np.array([0x7FF0000000000001, 0xFFF4000000000000], dtype=np.uint64).view(np.float64),
+])
+logit_arrays = hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=12),
+                          elements=st.floats(allow_subnormal=True, width=64))
+
+
+def edge_cases(x):
+    """``x`` with every edge logit appended."""
+    return np.concatenate([x.reshape(-1), EDGE_LOGITS])
+
+
+class TestElementwiseOracles:
+    """``_sigmoid`` and ``_focal`` against the masked and two-logaddexp forms, byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(logit_arrays)
+    def test_sigmoid_equals_masked_form_bytewise(self, x):
+        for z in (x, edge_cases(x)):
+            with np.errstate(all="ignore"):
+                assert ad._sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(logit_arrays, st.sampled_from([(0.25, 2.0), (0.5, 0.0), (0.9, 1.5)]))
+    def test_focal_equals_two_logaddexp_form_bytewise(self, x, focal):
+        alpha, gamma = focal
+        for z in (x, edge_cases(x)):
+            g = RngStream(z.size).generator()
+            t = (g.uniform(size=z.shape) < 0.5).astype(float)
+            upstream = g.uniform(-2.0, 2.0, size=z.shape)
+            with np.errstate(all="ignore"):
+                loss, p, sp_neg, sp_pos, grad = two_softplus_focal(z, t, alpha, gamma, upstream)
+                new = ad._focal(z, t, alpha, gamma)
+                out = ad.focal_from_logits(ad.Parameter("x", z).value, t, alpha, gamma)
+                (new_grad,) = out._backward(upstream)
+            for expected, got in ((loss, new[0]), (p, new[1]), (sp_neg, new[2]),
+                                  (sp_pos, new[3]), (loss, out.data), (grad, new_grad)):
+                assert got.tobytes() == expected.tobytes()
+
+    def test_edge_values_cover_both_softplus_branches(self):
+        with np.errstate(all="ignore"):
+            _loss, p, sp_neg, sp_pos, *_ = ad._focal(EDGE_LOGITS, 1.0, 0.25, 2.0)
+        assert p[0] == p[1] == 0.5 and sp_neg[0] == sp_pos[1] == np.log(2.0)
+        assert (p[2], sp_neg[2], sp_pos[2]) == (1.0, 0.0, np.inf)
+        assert (p[3], sp_neg[3], sp_pos[3]) == (0.0, np.inf, 0.0)
+        assert np.isnan(p[4:6]).all() and np.isnan(sp_pos[4:6]).all()
 
 
 class TestDropout:
@@ -337,6 +392,10 @@ class TestWindowSum:
             assert new.shape == (shape[0], shape[3], shape[2])
             assert np.array_equal(old, new)
             assert np.array_equal(p_old.grad, p_new.grad)
+
+    @pytest.mark.parametrize("shape", [(7, 2, 3, 1), (1, 5, 2, 1)])
+    def test_one_proposal_equals_stacked_expression_bitwise(self, shape):
+        self.test_value_and_gradient_equal_stacked_expression_bitwise(shape)
 
     def test_grad_check(self):
         g = RngStream(15).generator()

@@ -624,6 +624,35 @@ class TestStackedAggregationLoss:
             np.testing.assert_allclose(w.grad, g_oracle, rtol=1e-12,
                                        atol=1e-12 * np.abs(g_oracle).max())
 
+    def test_window_major_scores_fit_like_contiguous_ones_bitwise(self):
+        wcfg = WindowingConfig(1.05, 1.05, 2.0, 2.0, 1.0)
+        scores, targets = self.stacked(self.clips, wcfg)
+        # every window's (clips, K, classes) block is one contiguous run for window_sum
+        assert all(scores[:, n].transpose(0, 2, 1).flags.c_contiguous
+                   for n in range(wcfg.num_windows))
+        dense = np.ascontiguousarray(scores)
+        assert dense.tobytes() == scores.tobytes() and not scores.flags.c_contiguous
+        initial = AggregationWeights.initial(wcfg, self.cfg.num_classes).weights
+
+        def fit(layout, epochs=20):
+            """train_aggregation's loop over the given score layout; the losses, grads, weights."""
+            w = ad.Parameter("agg", initial)
+            opt = training.AdamW([w], lr=1e-2)
+            trace = []
+            for _epoch in range(epochs):
+                w.zero_grad()
+                loss = aggregation_loss(w, layout, targets, self.loss_cfg)
+                ad.backward(loss)
+                trace += [loss.data.tobytes(), w.grad.tobytes()]
+                opt.step()
+                w.assign(np.maximum(w.value.data, 0.0))
+            return trace, w.value.data
+
+        (major, w_major), (plain, w_plain) = fit(scores), fit(dense)
+        assert major == plain
+        assert w_major.tobytes() == w_plain.tobytes()
+        assert not np.array_equal(w_major, initial)
+
     def test_graph_size_independent_of_clips_and_windows(self):
         def nodes(n_clips, long_span):
             wcfg = WindowingConfig(1.05, 1.05, long_span, long_span, 1.0)

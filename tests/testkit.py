@@ -6,7 +6,9 @@ identity; ``read_annotations`` parses the ground-truth CSVs that
 ``sceneact generate`` writes; ``oracle_scene_detections`` and
 ``appearance_knn_detections`` are the non-learned ceiling and floor of
 the synthetic world; ``token_index`` locates a grid cell among the
-scene tokens.
+scene tokens. ``masked_sigmoid`` and ``two_softplus_focal`` are the
+plain forms that ``autodiff``'s sigmoid and focal loss must equal bit for
+bit.
 """
 
 from __future__ import annotations
@@ -37,6 +39,36 @@ from sceneact.synthdata import (
 
 class ParseError(ValueError):
     """A file could not be parsed; message carries the line number."""
+
+
+# ---------------------------------------------------------------------------
+# elementwise oracles
+
+
+def masked_sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-z) on the z >= 0 entries, e^z / (1 + e^z) on the rest."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def two_softplus_focal(x: np.ndarray, t, alpha: float, gamma: float, g: np.ndarray):
+    """Sigmoid focal loss with one ``logaddexp`` per softplus term.
+
+    Returns the loss, p, -log p, -log(1-p) and the gradient in x of the
+    loss weighted by the upstream gradient ``g``.
+    """
+    p = masked_sigmoid(x)
+    sp_neg = np.logaddexp(0.0, -x)
+    sp_pos = np.logaddexp(0.0, x)
+    pos = alpha * np.power(1.0 - p, gamma) * sp_neg
+    neg = (1.0 - alpha) * np.power(p, gamma) * sp_pos
+    dpos = -alpha * np.power(1.0 - p, gamma) * (gamma * p * sp_neg + (1.0 - p))
+    dneg = (1.0 - alpha) * np.power(p, gamma) * (gamma * (1.0 - p) * sp_pos + p)
+    return t * pos + (1.0 - t) * neg, p, sp_neg, sp_pos, g * (t * dpos + (1.0 - t) * dneg)
 
 
 # ---------------------------------------------------------------------------
