@@ -448,22 +448,11 @@ def _dropout_mask(shape: tuple, rate: float, rng: RngStream | Sequence[RngStream
     or a sequence of one per clip of a (B, ...) stack, each clip's mask its own."""
     if isinstance(rng, RngStream):
         return (rng.generator().random(shape) >= rate) * (1.0 / (1.0 - rate))
-    return np.stack([_dropout_mask(shape[1:], rate, r) for r in rng])
-
-
-def _join_heads(blocks: list, shape: tuple) -> np.ndarray:
-    """Head blocks side by side, as the sum of their zero-padded copies gives them.
-
-    That sum adds +0 to every block (turning -0 into +0) unless one block
-    is the whole sum.
-    """
-    if len(blocks) == 1:
-        return np.ascontiguousarray(blocks[0])
-    full = np.zeros(shape)
-    dh = shape[1] // len(blocks)
-    for h, blk in enumerate(blocks):
-        full[:, h * dh:(h + 1) * dh] += blk
-    return full
+    mask = np.empty(shape)
+    for out, r in zip(mask, rng):  # each clip's draws fill its slice, then become its mask
+        r.generator().random(out=out)
+        np.multiply(out >= rate, 1.0 / (1.0 - rate), out=out)
+    return mask
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, rate: float,
@@ -476,11 +465,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, rate: float,
     (layer, h, weights); dropout draws from ``rng.child(0, h)``; the head
     returns weights · v_h. The heads come back side by side, [m, d], as one
     node equal bit for bit to the narrow / transpose / matmul / softmax /
-    dropout / concat composition. Heads run one at a time, so no
-    (heads, m, n) stack is formed, and without recording no head's arrays
-    outlive its turn; the tape keeps each head's softmax output and mask, not their
-    product. Stacks q [B, m, d], k, v [B, n, d] run this body once per matrix, in
-    order, matrix b drawing from ``rng[b]`` if ``rng`` holds one stream per clip.
+    dropout / concat composition. A stack q [B, m, d], k, v [B, n, d] gives each
+    matrix what its own call gives, matrix b drawing from ``rng[b]`` if ``rng``
+    holds one stream per clip.
+
+    Each step is one numpy call over every matrix and head, on (B, heads, rows,
+    d/heads) views and a (B, heads, d/heads, n) copy of kᵀ, so each 2-D block is
+    the composition's own product. It holds one (B, heads, m, n) array per
+    product where a loop over heads held one (m, n); the tape keeps the softmax
+    output and the mask, not their product.
     """
     _matrices("attention", q, k, v)
     if k.shape != v.shape or q.shape[:-2] != k.shape[:-2] or k.shape[-1] != q.shape[-1]:
@@ -488,47 +481,47 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, rate: float,
     if heads < 1 or q.shape[-1] % heads:
         raise DimensionError(f"attention: {heads} heads do not divide width {q.shape[-1]}")
     drops = _drops(rate, training)
-    record = _recording and (q.requires_grad or k.requires_grad or v.requires_grad)
-    dh = q.shape[-1] // heads
-    cols = [slice(h * dh, (h + 1) * dh) for h in range(heads)]
+    m, n, dh = q.shape[-2], k.shape[-2], q.shape[-1] // heads
+
+    def split(x: np.ndarray, rows: int) -> np.ndarray:  # (B, heads, rows, dh) view
+        return x.reshape(-1, rows, heads, dh).swapaxes(1, 2)
+
+    def join(x: np.ndarray, t: Tensor) -> np.ndarray:
+        """(B, heads, rows, dh) blocks as t's C-ordered (..., rows, d), so later row sums
+        add in the composition's order; several heads add +0, as its padded sum does."""
+        x = np.ascontiguousarray(x.swapaxes(1, 2)).reshape(t.shape)
+        if heads > 1:
+            x += 0.0
+        return x
+
+    qh, vh = split(q.data, m), split(v.data, n)
+    kt = split(k.data, n).swapaxes(-1, -2).copy()
+    y = _softmax(qh @ kt, -1)
+    if sink is not None:
+        sink.extend((layer, h, yh.copy()) for yb in y for h, yh in enumerate(yb))
+    mask = None
+    if drops:  # one mask per (matrix, head), in that order
+        streams = [rng] * len(y) if isinstance(rng, RngStream) else rng
+        mask = _dropout_mask((len(y) * heads, m, n), rate, [
+            r.child(0, h) for r in streams for h in range(heads)]).reshape(y.shape)
     out = np.empty(q.shape)
-    mats = [t.reshape(-1, *t.shape[-2:]) for t in (q.data, k.data, v.data)]
-    streams = [rng] * len(mats[0]) if isinstance(rng, RngStream) else rng
-    saved = []  # per matrix: its kᵀ and each head's softmax output and dropout mask
-    for qw, kw, vw, ow, r in zip(*mats, out.reshape(-1, *out.shape[-2:]), streams):
-        kt = kw.T.copy()  # head h's k_hᵀ is the contiguous row block kt[cols[h]]
-        kept = []
-        for h, c in enumerate(cols):
-            y = _softmax(qw[:, c] @ kt[c], -1)
-            if sink is not None:
-                sink.append((layer, h, y.copy()))
-            mask = _dropout_mask(y.shape, rate, r.child(0, h)) if drops else None
-            ow[:, c] = (y * mask if drops else y) @ vw[:, c]
-            if record:
-                kept.append((y, mask))
-        if record:
-            saved.append((kt, kept))
+    np.matmul(y * mask if drops else y, vh, out=split(out, m))
 
     def bwd(g):
-        grads = []  # per matrix: the heads' (dq, dk, dv) blocks
-        for (kt, kept), gw, qw, vw in zip(saved, g.reshape(-1, *g.shape[-2:]), mats[0], mats[2]):
-            dq, dk, dv = [], [], []
-            for c, (y, mask) in zip(cols, kept):
-                gh = gw[:, c]
-                if v.requires_grad:
-                    dv.append((y if mask is None else y * mask).T @ gh)
-                if q.requires_grad or k.requires_grad:
-                    dw = gh @ vw[:, c].T
-                    if mask is not None:
-                        dw *= mask
-                    ds = _softmax_grad(y, dw, -1)
-                    if q.requires_grad:
-                        dq.append(ds @ kt[c].T)
-                    if k.requires_grad:
-                        dk.append((qw[:, c].T @ ds).T)
-            grads.append((dq, dk, dv))
-        return tuple(np.stack([_join_heads(d[i], t.shape[-2:]) for d in grads]).reshape(t.shape)
-                     if t.requires_grad else None for i, t in enumerate((q, k, v)))
+        gh = split(g, m)
+        dq = dk = dv = None
+        if v.requires_grad:
+            dv = join((y if mask is None else y * mask).swapaxes(-1, -2) @ gh, v)
+        if q.requires_grad or k.requires_grad:
+            dw = gh @ vh.swapaxes(-1, -2)
+            if mask is not None:
+                dw *= mask
+            ds = _softmax_grad(y, dw, -1)
+            if q.requires_grad:
+                dq = join(ds @ kt.swapaxes(-1, -2), q)
+            if k.requires_grad:
+                dk = join((qh.swapaxes(-1, -2) @ ds).swapaxes(-1, -2), k)
+        return dq, dk, dv
 
     return _wrap(out, (q, k, v), bwd)
 

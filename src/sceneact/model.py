@@ -22,10 +22,11 @@ attention, or the other variants' actor-to-scene cross-attention.
 
 An attention sublayer records five tape nodes besides the query scale and
 the output dropout: three ``ad.linear`` projections (queries, keys,
-values), one ``ad.attention`` node that runs the heads one after another
-(each head's softmax weights, dropout from ``rng.child(0, h)`` and value
-mix on its own column block), and the output ``ad.linear``. Every dense
-layer is one ``ad.linear`` node.
+values), one ``ad.attention`` node that computes every head of every
+stacked clip in one numpy call per step (head h's softmax weights, dropout
+from ``rng.child(0, h)`` and value mix on its own column block), and the
+output ``ad.linear``. It holds one (B, heads, m, n) array per product where
+a loop over heads held one (m, n). Every dense layer is one ``ad.linear`` node.
 
 The unified stack's last block queries with the K actor rows, the only
 rows the head reads; its keys and values still cover all K + N tokens.
@@ -75,6 +76,9 @@ class ModelConfig:
         if self.heads < 1 or self.embed_dim % self.heads != 0:
             raise ConfigError(f"heads {self.heads} must be at least 1 and divide "
                               f"embed_dim {self.embed_dim}")
+        if self.embed_dim % 2 and self.variant != "actor_only":  # sin/cos pairs: sinusoidal_pe
+            raise ConfigError(f"embed_dim must be even for variant {self.variant!r}, whose "
+                              f"scene tokens carry a positional code; got {self.embed_dim}")
         if self.layers < 0:
             raise ConfigError(f"layers must be non-negative, got {self.layers}")
         if not 0.0 <= self.dropout < 1.0:

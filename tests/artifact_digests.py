@@ -7,9 +7,12 @@ scenario of 40 train and 12 eval clips trained for 2 epochs. Then it
 fits at a second geometry, ``train --phase long`` with 2 s spans
 (``config_support.json``, ``support/``: 5 windows where the default has
 13), and runs ``eval --strategy weighted --strategy avg`` on the
-checkpoint that writes (``support_eval/``). Last come the actor_only
-ablation's ``train`` and ``eval --topk`` on the same data
-(``config_actor_only.json``, ``blind/`` and ``blind_eval/``). It prints
+checkpoint that writes (``support_eval/``). Last come ``train`` and
+``eval --topk`` on the same data for two more variants: the actor_only
+ablation (``config_actor_only.json``, ``blind/`` and ``blind_eval/``) and
+encoder_decoder, whose scene encoder and cross-attention the others do
+not run (``config_encoder_decoder.json``, ``encdec/`` and
+``encdec_eval/``). It prints
 ``<sha256>  <path>`` for every file the run wrote, paths relative to the
 run directory. Two checkouts whose outputs should be byte-identical print
 identical lines.
@@ -36,6 +39,7 @@ from sceneact.cli import main  # noqa: E402
 CONFIG = {"seed": 7, "scenario": {"train_clips": 40, "eval_clips": 12},
           "optimizer": {"epochs": 2}}
 BLIND_MODEL = {"variant": "actor_only"}  # the default run's sizes
+ENCDEC_MODEL = {"variant": "encoder_decoder"}
 SUPPORT_WINDOWING = {"long_before": 2.0, "long_after": 2.0}
 
 
@@ -44,11 +48,14 @@ def run(root: Path) -> None:
     cfg.write_text(json.dumps(CONFIG))
     blind_cfg = root / "config_actor_only.json"
     blind_cfg.write_text(json.dumps(dict(CONFIG, model=BLIND_MODEL)))
+    encdec_cfg = root / "config_encoder_decoder.json"
+    encdec_cfg.write_text(json.dumps(dict(CONFIG, model=ENCDEC_MODEL)))
     support_cfg = root / "config_support.json"
     support_cfg.write_text(json.dumps(dict(CONFIG, windowing=SUPPORT_WINDOWING)))
-    data, short, long, evals, support, support_evals, blind, blind_evals = (
-        str(root / d) for d in ("data", "short", "long", "eval", "support", "support_eval",
-                                "blind", "blind_eval"))
+    (data, short, long, evals, support, support_evals, blind, blind_evals, encdec,
+     encdec_evals) = (str(root / d) for d in ("data", "short", "long", "eval", "support",
+                                              "support_eval", "blind", "blind_eval", "encdec",
+                                              "encdec_eval"))
     commands = [
         ["generate", "--config", str(cfg), "--out", data],
         ["train", "--dataset", data, "--out", short],
@@ -66,6 +73,9 @@ def run(root: Path) -> None:
         ["train", "--config", str(blind_cfg), "--dataset", data, "--out", blind],
         ["eval", "--dataset", data, "--checkpoint", f"{blind}/best.ckpt", "--out", blind_evals,
          "--topk"],
+        ["train", "--config", str(encdec_cfg), "--dataset", data, "--out", encdec],
+        ["eval", "--dataset", data, "--checkpoint", f"{encdec}/best.ckpt", "--out",
+         encdec_evals, "--topk"],
     ]
     for argv in commands:
         with contextlib.redirect_stdout(io.StringIO()):

@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -464,11 +462,13 @@ class TestFusedOps:
 
     D = 8
 
-    def sublayer(self, linear, attention, heads, training, cross, sink):
-        """A pre-norm attention sublayer and a dense layer on top, as ``model`` builds them."""
+    def sublayer(self, linear, attention, heads, training, cross, sink, rows=(5, 7)):
+        """A pre-norm attention sublayer and a dense layer on top, as ``model`` builds them,
+        over ``rows`` = (query rows, source rows)."""
         g = RngStream(20).generator()
         params = {name: ad.Parameter(name, g.uniform(-1.0, 1.0, size=shape)) for name, shape in [
-            ("x", (5, self.D)), ("src", (7, self.D)), ("gain", (self.D,)), ("bias", (self.D,)),
+            ("x", (rows[0], self.D)), ("src", (rows[1], self.D)), ("gain", (self.D,)),
+            ("bias", (self.D,)),
             *[(f"w{n}", (self.D, self.D)) for n in "qkvo"],
             *[(f"b{n}", (self.D,)) for n in "qkvo"], ("w1", (3, self.D)), ("b1", (3,))]}
         v = {name: p.value for name, p in params.items()}
@@ -484,13 +484,16 @@ class TestFusedOps:
     @pytest.mark.parametrize("heads", [1, 2, 4])
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("cross", [False, True])
+    # from 8 rows on, the order of a row sum follows the gradient's memory layout
+    @pytest.mark.parametrize("rows", [(5, 7), (17, 20)])
     def test_values_gradient_terms_and_sink_equal_composition_bitwise(self, heads, training,
-                                                                      cross):
+                                                                      cross, rows):
         runs = []
         for linear, attention in ((composed_linear, composed_attention),
                                   (ad.linear, ad.attention)):
             sink = []
-            merged, loss, params = self.sublayer(linear, attention, heads, training, cross, sink)
+            merged, loss, params = self.sublayer(linear, attention, heads, training, cross, sink,
+                                                 rows)
             parts = ad.leaf_gradients(loss)
             terms = {p.name: [t.tobytes() for t in parts[p.value]]
                      for p in params.values() if p.value in parts}
@@ -549,16 +552,34 @@ class TestFusedOps:
             ad.attention(t, t, t, 2, 1.0, RngStream(0), True)
 
     @pytest.mark.parametrize("heads", [1, 3])
-    def test_head_gradients_keep_the_signed_zeros_of_summed_padded_blocks(self, heads):
-        blocks = [np.array([[-0.0, 1.5], [-2.0, -0.0]]) for _ in range(heads)]
-        padded = []
-        for h, blk in enumerate(blocks):
-            full = np.zeros((2, 2 * heads))
-            full[:, 2 * h:2 * h + 2] = blk
-            padded.append(full)
-        joined = ad._join_heads(blocks, (2, 2 * heads))
-        assert joined.tobytes() == functools.reduce(np.add, padded).tobytes()
-        assert np.signbit(joined[joined == 0.0]).any() == (heads == 1)  # -0 survives one head
+    @pytest.mark.parametrize("training", [True, False])
+    def test_head_gradients_keep_the_signed_zeros_of_summed_padded_blocks(self, heads, training):
+        """The composition sums zero-padded head blocks, which turns -0 into +0 unless one
+        head is the whole width; ``attention``'s terms must follow, from a -0 upstream
+        gradient block and an all-zero head block in q, k and v alike. (Whether a product
+        of -0 terms returns -0 at all depends on the BLAS.)"""
+        dh = 2
+
+        def terms(attention):
+            x = {}
+            for name, rows, seed in (("q", 4, 60), ("k", 5, 61), ("v", 5, 62)):
+                data = rand((rows, dh * heads), seed)
+                data[:, :dh] = 0.0
+                data[::2, :dh] = -0.0  # head 0 reads zeros of both signs
+                x[name] = ad.Parameter(name, data)
+            up = rand((4, dh * heads), 63)
+            up[:, -dh:] = -0.0  # the last head's upstream gradient
+            out = attention(*[ad.scale(p.value, 1.0) for p in x.values()], heads, 0.3,
+                            RngStream(64), training, None, 0)
+            loss = ad.reduce_sum(ad.mul_rowvec(ad.reshape(out, (1, out.size)),
+                                               ad.Tensor(up.ravel())))  # d loss / d out = up
+            parts = ad.leaf_gradients(loss)
+            return [t for p in x.values() for t in parts[p.value]]
+
+        old, new = terms(composed_attention), terms(ad.attention)
+        assert len(new) == 3
+        assert [(t.tobytes(), t.strides) for t in new] == [(t.tobytes(), t.strides) for t in old]
+        assert all((t == 0.0).any() for t in new)  # each term has zeros whose sign is at stake
 
 
 class TestWindowStacks:

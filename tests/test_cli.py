@@ -187,6 +187,18 @@ class TestGenerate:
         assert rc == 1
         assert "error:" in capsys.readouterr().err and not (tmp_path / "d").exists()
 
+    def test_odd_width_with_scene_tokens_exits_1(self, tmp_path, capsys):
+        # the scene tokens' sinusoidal code needs an even width; actor_only has none
+        cfg_path = write_config(tmp_path, dict(TINY, model={"embed_dim": 9, "heads": 3}))
+        rc = main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "d")])
+        err = capsys.readouterr().err
+        assert rc == 1 and not (tmp_path / "d").exists()
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "model.embed_dim" in errors[0]
+        blind = dict(TINY, model={"embed_dim": 9, "heads": 3, "variant": "actor_only"})
+        assert main(["generate", "--config", str(write_config(tmp_path, blind)),
+                     "--out", str(tmp_path / "d")]) == 0
+
     def test_model_scenario_class_mismatch_exits_1(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, dict(TINY, model=dict(TINY["model"], num_classes=6)))
         rc = main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "d")])
