@@ -32,6 +32,15 @@ shape), each one's values and gradient terms equal to its own call's bit for
 bit. A parameter's terms from a stack keep a leading clip axis, which
 ``accumulate`` folds clip by clip, the order of one tape per clip.
 
+Dropout keeps a boolean keep mask on the tape, one byte per entry where a
+float mask took eight, drawn from raw Philox words: numpy's ``random()`` is
+(w >> 11) 2^-53 of one word w, in C order, so ``random() >= rate`` is
+``w >= ceil(rate 2^53) << 11``, the same mask without the float draws. Values
+and gradients become (x * keep) * s, with s = 1 / (1 - rate): x * 1 is x, and
+x * 0 is the signed zero or NaN that x times the float mask's 0 gives, which
+s > 0 keeps, so every bit equals x times the float mask (0 or s), +-0, +-inf
+and NaN included.
+
 A phase-2 fit epoch is ``window_sum``, ``logit`` and ``focal_from_logits`` over
 constant scores: ``window_sum`` reads window-major scores contiguously, ``_sigmoid``
 is branch-free and ``_focal`` shares one ``logaddexp`` between its softplus terms,
@@ -42,6 +51,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -372,9 +382,11 @@ def _softmax(s: np.ndarray, axis: int) -> np.ndarray:
     return s
 
 
-def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
-    """Gradient through a softmax of output ``y``, computed in place in its gradient ``g``."""
-    g -= (g * y).sum(axis=axis, keepdims=True)
+def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int,
+                  buf: np.ndarray | None = None) -> np.ndarray:
+    """Gradient through a softmax of output ``y``, computed in place in its gradient ``g``;
+    the product g * y goes into ``buf`` if given."""
+    g -= np.multiply(g, y, out=buf).sum(axis=axis, keepdims=True)
     g *= y
     return g
 
@@ -425,15 +437,16 @@ def logit(x: Tensor, eps: float = 1e-9) -> Tensor:
 
 def dropout(x: Tensor, rate: float, rng: RngStream | Sequence[RngStream],
             training: bool) -> Tensor:
-    """Zero entries with probability ``rate`` and rescale survivors.
+    """Zero entries with probability ``rate`` and rescale survivors by 1 / (1 - rate).
 
-    The mask is a pure function of ``rng``: one stream, or one per clip of a
-    stack. Inference mode returns the input unchanged (bit-identical).
+    The keep mask is a pure function of ``rng``: one stream, or one per clip of
+    a stack (see ``_dropout_mask``); the tape keeps it as booleans. Inference mode
+    returns the input unchanged (bit-identical).
     """
     if not _drops(rate, training):
         return x
-    mask = _dropout_mask(x.data.shape, rate, rng)
-    return _wrap(x.data * mask, (x,), lambda g: (g * mask,))
+    keep, s = _dropout_mask(x.data.shape, rate, rng), 1.0 / (1.0 - rate)
+    return _wrap(_kept(x.data, keep, s), (x,), lambda g: (_kept(g, keep, s),))
 
 
 def _drops(rate: float, training: bool) -> bool:
@@ -444,15 +457,27 @@ def _drops(rate: float, training: bool) -> bool:
 
 
 def _dropout_mask(shape: tuple, rate: float, rng: RngStream | Sequence[RngStream]) -> np.ndarray:
-    """Survivors 1 / (1 - rate), dropped entries 0; a pure function of ``rng``: one stream,
-    or a sequence of one per clip of a (B, ...) stack, each clip's mask its own."""
+    """Boolean keep mask, a pure function of ``rng``: one stream, or a sequence of one per
+    clip of a (B, ...) stack, each clip's mask its own. Each entry keeps where its raw
+    Philox word, in C order, reaches ``ceil(rate 2^53) << 11``, as ``random() >= rate``
+    of the same word does (see the module docstring)."""
+    cut = np.uint64(math.ceil(rate * 2**53) << 11)
     if isinstance(rng, RngStream):
-        return (rng.generator().random(shape) >= rate) * (1.0 / (1.0 - rate))
-    mask = np.empty(shape)
-    for out, r in zip(mask, rng):  # each clip's draws fill its slice, then become its mask
-        r.generator().random(out=out)
-        np.multiply(out >= rate, 1.0 / (1.0 - rate), out=out)
-    return mask
+        return rng.generator().bit_generator.random_raw(shape) >= cut
+    if not shape or len(rng) != shape[0]:
+        raise ContractError(f"{len(rng)} dropout streams for a stack of shape {shape}")
+    keep = np.empty(shape, dtype=bool)
+    for out, r in zip(keep, rng):
+        np.greater_equal(r.generator().bit_generator.random_raw(out.shape), cut, out=out)
+    return keep
+
+
+def _kept(x: np.ndarray, keep: np.ndarray, s: float, out: np.ndarray | None = None):
+    """(x * keep) * s, into ``out`` if given: x times the float mask (0 or s), bit for bit
+    (see the module docstring)."""
+    out = np.multiply(x, keep, out=out)
+    out *= s
+    return out
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, rate: float,
@@ -473,7 +498,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, rate: float,
     d/heads) views and a (B, heads, d/heads, n) copy of kᵀ, so each 2-D block is
     the composition's own product. It holds one (B, heads, m, n) array per
     product where a loop over heads held one (m, n); the tape keeps the softmax
-    output and the mask, not their product.
+    output and the boolean keep mask, not their product. The backward rebuilds
+    the dropped weights into one stack-sized buffer for dv, then writes the
+    softmax gradient's dw * y into it: two stack-sized temporaries, that buffer
+    and dw, where a float mask's product took a third.
     """
     _matrices("attention", q, k, v)
     if k.shape != v.shape or q.shape[:-2] != k.shape[:-2] or k.shape[-1] != q.shape[-1]:
@@ -499,24 +527,26 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, rate: float,
     y = _softmax(qh @ kt, -1)
     if sink is not None:
         sink.extend((layer, h, yh.copy()) for yb in y for h, yh in enumerate(yb))
-    mask = None
+    keep, s = None, 1.0 / (1.0 - rate)
     if drops:  # one mask per (matrix, head), in that order
         streams = [rng] * len(y) if isinstance(rng, RngStream) else rng
-        mask = _dropout_mask((len(y) * heads, m, n), rate, [
+        keep = _dropout_mask((len(y) * heads, m, n), rate, [
             r.child(0, h) for r in streams for h in range(heads)]).reshape(y.shape)
     out = np.empty(q.shape)
-    np.matmul(y * mask if drops else y, vh, out=split(out, m))
+    np.matmul(y if keep is None else _kept(y, keep, s), vh, out=split(out, m))
 
     def bwd(g):
         gh = split(g, m)
         dq = dk = dv = None
+        w = None if keep is None else _kept(y, keep, s)  # dv's weights, then dw * y's buffer
         if v.requires_grad:
-            dv = join((y if mask is None else y * mask).swapaxes(-1, -2) @ gh, v)
+            dv = join((y if w is None else w).swapaxes(-1, -2) @ gh, v)
         if q.requires_grad or k.requires_grad:
             dw = gh @ vh.swapaxes(-1, -2)
-            if mask is not None:
-                dw *= mask
-            ds = _softmax_grad(y, dw, -1)
+            if keep is not None:
+                _kept(dw, keep, s, out=dw)
+            ds = _softmax_grad(y, dw, -1, w)
+            del w  # freed before the dq and dk products
             if q.requires_grad:
                 dq = join(ds @ kt.swapaxes(-1, -2), q)
             if k.requires_grad:
@@ -541,13 +571,13 @@ def _focal(x: np.ndarray, t: np.ndarray, alpha: float, gamma: float):
     sp_pos = np.where(x <= 0, tail, x + tail)  # softplus(x) = -log (1-p)
     q = 1.0 - p
     q_gamma, p_gamma = np.power(q, gamma), np.power(p, gamma)
-    loss = alpha * q_gamma  # t * pos + (1 - t) * neg, built in place
-    loss *= sp_neg
+    loss = alpha * q_gamma  # t * pos + (1 - t) * neg, built in place but the sum:
+    loss *= sp_neg  # an in-place add keeps its right operand's NaN where both are NaN
     loss *= t
     neg = (1.0 - alpha) * p_gamma
     neg *= sp_pos
     neg *= 1.0 - t
-    loss += neg
+    loss = loss + neg
     return loss, p, sp_neg, sp_pos, q, q_gamma, p_gamma
 
 
@@ -562,7 +592,7 @@ def focal_from_logits(logits: Tensor, targets, alpha: float, gamma: float) -> Te
     out, p, sp_neg, sp_pos, q, q_gamma, p_gamma = _focal(logits.data, t, alpha, gamma)
 
     def bwd(g):
-        # g * (t * dpos + (1 - t) * dneg) in place, with
+        # g * (t * dpos + (1 - t) * dneg) in place but the sum (see ``_focal``), with
         # dpos = -alpha * (1-p)^gamma * (gamma * p * -log p + (1-p)) and
         # dneg = (1 - alpha) * p^gamma * (gamma * (1-p) * -log(1-p) + p)
         grad = gamma * p
@@ -575,7 +605,7 @@ def focal_from_logits(logits: Tensor, targets, alpha: float, gamma: float) -> Te
         dneg += p
         dneg *= (1.0 - alpha) * p_gamma
         dneg *= 1.0 - t
-        grad += dneg
+        grad = grad + dneg
         grad *= g
         return (grad,)
 

@@ -30,8 +30,9 @@ a loop over heads held one (m, n). Every dense layer is one ``ad.linear`` node.
 
 The unified stack's last block queries with the K actor rows, the only
 rows the head reads; its keys and values still cover all K + N tokens.
-This is exact: all but keys and values is row-wise, and Philox fills in C
-order, so a (K, ...) dropout mask is the first K rows of the (K + N, ...) one.
+This is exact: all but keys and values is row-wise, and a keep mask reads one
+raw Philox word per entry in C order, so a (K, ...) dropout mask is the first
+K rows of the (K + N, ...) one.
 Dropout streams are derived from the forward's ``rng`` only when training.
 ``forward_actions`` also runs B clips through each op at once (``autodiff``'s
 stacks), in training as at inference, each clip's masks from its own stream.

@@ -1,3 +1,6 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,8 @@ from hypothesis.extra import numpy as hnp
 from sceneact import autodiff as ad
 from sceneact.errors import ConfigError, ContractError, DimensionError
 from sceneact.rng import RngStream
-from testkit import grad_check, masked_sigmoid, two_softplus_focal
+from testkit import (float_dropout, float_dropout_mask, grad_check, masked_sigmoid,
+                     two_softplus_focal)
 
 
 def rand(shape, seed=0, lo=-2.0, hi=2.0):
@@ -153,6 +157,24 @@ class TestElementwiseOracles:
             for expected, got in ((loss, new[0]), (p, new[1]), (sp_neg, new[2]),
                                   (sp_pos, new[3]), (loss, out.data), (grad, new_grad)):
                 assert got.tobytes() == expected.tobytes()
+
+    def test_focal_keeps_the_two_logaddexp_forms_nan_signs(self):
+        """Both sums of NaN terms keep the left term's NaN, in any array length."""
+        payload_nan = np.array([0x7FF8000000000123], dtype=np.uint64).view(np.float64)[0]
+        values = np.array([np.nan, np.copysign(np.nan, -1.0), payload_nan, np.inf, -np.inf,
+                           0.0, -0.0, 1.5, -3.0])
+        for n in range(1, 40):  # each value alone, then mixed arrays
+            g = RngStream(70, n).generator()
+            z = values[[n - 1] if n <= len(values) else g.integers(0, len(values), n)]
+            t = (g.uniform(size=len(z)) < 0.5).astype(float)
+            upstream = g.uniform(-2.0, 2.0, size=len(z))
+            for alpha, gamma in [(0.25, 2.0), (0.5, 0.0), (0.9, 1.5)]:
+                with np.errstate(all="ignore"):
+                    loss, *_, grad = two_softplus_focal(z, t, alpha, gamma, upstream)
+                    out = ad.focal_from_logits(ad.Parameter("x", z).value, t, alpha, gamma)
+                    (new_grad,) = out._backward(upstream)
+                assert out.data.tobytes() == loss.tobytes()
+                assert new_grad.tobytes() == grad.tobytes()
 
     def test_edge_values_cover_both_softplus_branches(self):
         with np.errstate(all="ignore"):
@@ -647,3 +669,102 @@ class TestWindowStacks:
         assert grads[0] == grads[1]
         with ad.no_grad():
             assert not self.EXPRESSIONS[op](ad.Tensor(x), leaves, streams).requires_grad
+
+
+KEEP_RATES = [0.1, 0.3, 0.5, 1 / 3, 0.999]  # 0.5 and 0.999 put the cut on a whole 2^-53 step
+
+
+def special_values(shape, seed):
+    """Normal draws with +-0, +-inf and NaNs (both signs, one with a payload) spread in."""
+    x = RngStream(seed).generator().standard_normal(shape)
+    payload_nan = np.array([0x7FF8000000000123], dtype=np.uint64).view(np.float64)[0]
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0), payload_nan]
+    flat = x.reshape(-1)
+    flat[::5] = np.resize(specials, flat[::5].size)
+    return x
+
+
+class TestKeepMasks:
+    """Boolean keep masks drawn from raw Philox words against the float-mask oracle."""
+
+    @pytest.mark.parametrize("rate", KEEP_RATES)
+    @pytest.mark.parametrize("per_clip", [False, True])
+    def test_dropout_values_and_gradient_equal_float_mask_bitwise(self, rate, per_clip):
+        shape = (3, 20, 30)
+        rng = [RngStream(60).child(b) for b in range(3)] if per_clip else RngStream(60)
+        x = ad.Parameter("x", special_values(shape, 61)).value
+        g = special_values(shape, 62)
+        with np.errstate(invalid="ignore"):
+            out, expected = (drop(x, rate, rng, True) for drop in (ad.dropout, float_dropout))
+            assert out.data.tobytes() == expected.data.tobytes()
+            assert out._backward(g)[0].tobytes() == expected._backward(g)[0].tobytes()
+        kept = float_dropout_mask(shape, rate, rng) != 0
+        assert kept.any() and not kept.all()
+
+    @pytest.mark.parametrize("rate", KEEP_RATES)
+    @pytest.mark.parametrize("clips", [None, 2])  # one matrix on one stream, or a stack
+    def test_attention_equals_float_mask_composition_bitwise(self, rate, clips, monkeypatch):
+        stacks = [rand((clips or 1, rows, 8), 63 + i) for i, rows in enumerate((5, 7, 7))]
+        streams = [RngStream(64).child(b) for b in range(clips or 1)]
+
+        def run(attention, inputs, rng):  # the output and the q, k, v gradients
+            params = [ad.Parameter(n, x) for n, x in zip("qkv", inputs)]
+            out = attention(*(p.value for p in params), 2, rate, rng, True, None, 0)
+            ad.backward(ad.reduce_sum(ad.gelu(out)))
+            return [out.data] + [p.grad for p in params]
+
+        fused = run(ad.attention, stacks if clips else [x[0] for x in stacks],
+                    streams if clips else streams[0])
+        monkeypatch.setattr(ad, "dropout", float_dropout)  # the composition's masks: floats
+        per_clip = [run(composed_attention, [x[b] for x in stacks], streams[b])
+                    for b in range(clips or 1)]
+        expected = [np.stack(arrs) if clips else arrs[0] for arrs in zip(*per_clip)]
+        assert [a.tobytes() for a in fused] == [a.tobytes() for a in expected]
+
+    @pytest.mark.parametrize("rate", KEEP_RATES)
+    def test_cut_keeps_exactly_the_words_whose_float_reaches_rate(self, rate):
+        """Words on both sides of ceil(rate 2^53) << 11, which random draws never hit."""
+        cut = int(np.ceil(rate * 2**53)) << 11
+        words = np.array([0, cut - 2048, cut - 1, cut, cut + 1, cut + 2047, 2**64 - 1],
+                         dtype=np.uint64)
+
+        class Fixed(RngStream):  # a stream whose raw words are ``words``
+            def generator(self):
+                return SimpleNamespace(bit_generator=SimpleNamespace(random_raw=lambda _: words))
+
+        floats = (words >> np.uint64(11)) * 2.0**-53  # numpy's random() of each word
+        raw = RngStream(66).generator().bit_generator.random_raw(1000)
+        assert np.array_equal(RngStream(66).generator().random(1000),
+                              (raw >> np.uint64(11)) * 2.0**-53)
+        assert ad._dropout_mask(words.shape, rate, Fixed(0)).tolist() == \
+            (floats >= rate).tolist() == [False, False, False, True, True, True, True]
+
+    def test_stream_count_must_equal_stack_length(self):
+        x = ad.Tensor(np.ones((3, 4)))
+        for n in (2, 4):
+            with pytest.raises(ContractError, match=f"{n} dropout streams"):
+                ad.dropout(x, 0.5, [RngStream(b) for b in range(1, n + 1)], True)
+        q = ad.Tensor(np.ones((3, 5, 4)))
+        with pytest.raises(ContractError):
+            ad.attention(q, q, q, 2, 0.5, [RngStream(1), RngStream(2)], True)
+
+
+class TestAttentionWorkingSet:
+    def test_stack_forward_and_backward_peak_under_3_8_stacks(self):
+        """The tape keeps the softmax output and a one-byte keep mask, and the backward
+        rebuilds the dropped weights into one buffer that then takes dw * y."""
+        batch, heads, rows, dh = 2, 4, 128, 8
+        q, k, v = (ad.Parameter(n, rand((batch, rows, heads * dh), 65 + i))
+                   for i, n in enumerate("qkv"))
+        g = rand((batch, rows, heads * dh), 68)
+        streams = [RngStream(69).child(b) for b in range(batch)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ad.attention(q.value, k.value, v.value, heads, 0.1, streams, True)
+            grads = out._backward(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert all(d is not None for d in grads)
+        assert peak < 3.8 * batch * heads * rows * rows * 8

@@ -8,7 +8,8 @@ identity; ``read_annotations`` parses the ground-truth CSVs that
 the synthetic world; ``token_index`` locates a grid cell among the
 scene tokens. ``masked_sigmoid`` and ``two_softplus_focal`` are the
 plain forms that ``autodiff``'s sigmoid and focal loss must equal bit for
-bit.
+bit, and ``float_dropout`` the float-mask dropout that ``autodiff``'s
+boolean keep masks must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from sceneact.autodiff import Parameter, Tensor, backward
+from sceneact.autodiff import Parameter, Tensor, _wrap, backward
 from sceneact.boxes import BoundingBox
 from sceneact.errors import ConfigError, ValidationError
 from sceneact.model import ModelParams
+from sceneact.rng import RngStream
 from sceneact.synthdata import (
     CATEGORIES,
     GRID_H,
@@ -69,6 +71,22 @@ def two_softplus_focal(x: np.ndarray, t, alpha: float, gamma: float, g: np.ndarr
     dpos = -alpha * np.power(1.0 - p, gamma) * (gamma * p * sp_neg + (1.0 - p))
     dneg = (1.0 - alpha) * np.power(p, gamma) * (gamma * (1.0 - p) * sp_pos + p)
     return t * pos + (1.0 - t) * neg, p, sp_neg, sp_pos, g * (t * dpos + (1.0 - t) * dneg)
+
+
+def float_dropout_mask(shape: tuple, rate: float, rng) -> np.ndarray:
+    """Survivors 1 / (1 - rate), dropped entries 0, from numpy's float draws: one stream,
+    or one per clip of a (B, ...) stack, each filling its own clip's slice."""
+    if isinstance(rng, RngStream):
+        return (rng.generator().random(shape) >= rate) * (1 / (1 - rate))
+    return np.stack([float_dropout_mask(shape[1:], rate, r) for r in rng])
+
+
+def float_dropout(x: Tensor, rate: float, rng, training: bool) -> Tensor:
+    """Dropout as x * mask and g * mask with the float mask, one tape node."""
+    if not training or rate == 0.0:
+        return x
+    mask = float_dropout_mask(x.shape, rate, rng)
+    return _wrap(x.data * mask, (x,), lambda g: (g * mask,))
 
 
 # ---------------------------------------------------------------------------
