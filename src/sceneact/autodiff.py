@@ -32,19 +32,20 @@ shape), each one's values and gradient terms equal to its own call's bit for
 bit. A parameter's terms from a stack keep a leading clip axis, which
 ``accumulate`` folds clip by clip, the order of one tape per clip.
 
-Dropout keeps a boolean keep mask on the tape, one byte per entry where a
-float mask took eight, drawn from raw Philox words: numpy's ``random()`` is
-(w >> 11) 2^-53 of one word w, in C order, so ``random() >= rate`` is
-``w >= ceil(rate 2^53) << 11``, the same mask without the float draws. Values
-and gradients become (x * keep) * s, with s = 1 / (1 - rate): x * 1 is x, and
-x * 0 is the signed zero or NaN that x times the float mask's 0 gives, which
-s > 0 keeps, so every bit equals x times the float mask (0 or s), +-0, +-inf
-and NaN included.
+Dropout keeps a boolean keep mask on the tape, one byte per entry, drawn
+from raw Philox words: numpy's ``random()`` is (w >> 11) 2^-53 of one word
+w, in C order, so ``random() >= rate`` is ``w >= ceil(rate 2^53) << 11``,
+the same mask without the float draws. Values and gradients become
+(x * keep) * s, with s = 1 / (1 - rate): x * 1 is x, and x * 0 is the
+signed zero or NaN that x times the float mask's 0 gives, which s > 0
+keeps, so every bit equals x times the float mask (0 or s), +-0, +-inf and
+NaN included.
 
 A phase-2 fit epoch is ``window_sum``, ``logit`` and ``focal_from_logits`` over
-constant scores: ``window_sum`` reads window-major scores contiguously, ``_sigmoid``
-is branch-free and ``_focal`` shares one ``logaddexp`` between its softplus terms,
-each with the bits of the slower form it replaced (see their docstrings).
+constant window-major scores: ``window_sum`` reads each window's block
+contiguously, ``_sigmoid`` is branch-free and ``_focal`` shares one
+``logaddexp`` between its softplus terms, each with the bits of the slower
+form it replaced (see their docstrings).
 """
 
 from __future__ import annotations
@@ -321,26 +322,25 @@ def reduce_sum(x: Tensor, axis: int | None = None) -> Tensor:
 
 
 def window_sum(scores: np.ndarray, weights: Tensor) -> Tensor:
-    """out[c, k, j] = sum_n scores[c, n, j, k] * weights[n, j], over constant ``scores``.
+    """out[c, k, j] = sum_n scores[n, c, k, j] * weights[n, j], over constant window-major
+    ``scores`` (windows, clips, K, classes) and (windows, classes) ``weights``.
 
     Windows n are added one at a time into one buffer, so there is no
     (clips, K, windows, classes) temporary. Given two or more classes (one
     makes numpy sum the windows and rows pairwise), the value and gradient
-    equal ``reduce_sum`` over the stacked product bit for bit, for any strides:
-    ``einsum`` adds each window's (c, k) rows in order into a zeroed row, as
+    equal ``reduce_sum`` over the stacked product bit for bit: ``einsum`` adds
+    each window's (c, k) rows in order into a zeroed row, as
     ``sum(axis=(0, 1))`` does at three times the cost, so only which NaN two
-    NaNs give may differ. Window-major storage (each
-    ``scores[:, n].transpose(0, 2, 1)`` C-contiguous) makes every multiply contiguous.
+    NaNs give may differ.
     """
-    if scores.ndim != 4 or weights.data.shape != scores.shape[1:3]:
+    if scores.ndim != 4 or weights.data.shape != (scores.shape[0], scores.shape[3]):
         raise DimensionError(f"window_sum: weights {weights.shape} vs scores {scores.shape}")
-    rows = [scores[:, n].transpose(0, 2, 1) for n in range(scores.shape[1])]  # (clips, K, cls)
-    out = np.multiply(rows[0], weights.data[0], out=np.empty(rows[0].shape))
+    out = np.multiply(scores[0], weights.data[0], out=np.empty(scores.shape[1:]))
     tmp = np.empty_like(out)
-    for r, w in zip(rows[1:], weights.data[1:]):
+    for r, w in zip(scores[1:], weights.data[1:]):
         out += np.multiply(r, w, out=tmp)
     return _wrap(out, (weights,), lambda g: (np.stack(
-        [np.einsum("ckj->j", np.multiply(g, r, out=tmp)) for r in rows]),))
+        [np.einsum("ckj->j", np.multiply(g, r, out=tmp)) for r in scores]),))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -497,11 +497,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, rate: float,
     Each step is one numpy call over every matrix and head, on (B, heads, rows,
     d/heads) views and a (B, heads, d/heads, n) copy of kᵀ, so each 2-D block is
     the composition's own product. It holds one (B, heads, m, n) array per
-    product where a loop over heads held one (m, n); the tape keeps the softmax
-    output and the boolean keep mask, not their product. The backward rebuilds
-    the dropped weights into one stack-sized buffer for dv, then writes the
-    softmax gradient's dw * y into it: two stack-sized temporaries, that buffer
-    and dw, where a float mask's product took a third.
+    product; the tape keeps the softmax output and the boolean keep mask, not
+    their product. The backward rebuilds the dropped weights into one
+    stack-sized buffer for dv, then writes the softmax gradient's dw * y into
+    it: two stack-sized temporaries, that buffer and dw.
     """
     _matrices("attention", q, k, v)
     if k.shape != v.shape or q.shape[:-2] != k.shape[:-2] or k.shape[-1] != q.shape[-1]:

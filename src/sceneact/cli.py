@@ -201,6 +201,15 @@ def cmd_eval(args) -> int:
         if not 0.0 <= tau <= 1.0:
             raise ConfigError(f"--threshold must lie in [0, 1], got {tau:g}")
     strategies = args.strategy or []
+    samplings = [(f"sampling_tau_{tau:g}", "threshold", tau) for tau in taus]
+    if args.topk or not (taus or strategies):
+        samplings.append(("sampling_topk", "topk", 0.0))
+    names = [name for name, _mode, _tau in samplings] + [f"strategy_{s}" for s in strategies]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"eval would write the reports {repeated} twice: give each "
+                          f"--strategy once, and --threshold values that differ within "
+                          f"6 significant digits")
     dataset, cfg = _load_dataset_dir(args.dataset, with_train=False)
     state, model_cfg, scenario = _load_checkpoint(args.checkpoint, cfg, args.dataset,
                                                   windowed=bool(strategies))
@@ -212,9 +221,6 @@ def cmd_eval(args) -> int:
     if "topk" in strategies and args.topk_k > windowing.num_windows:
         raise ConfigError(f"--topk-k {args.topk_k} exceeds the {windowing.num_windows} "
                           f"windows that --strategy topk fuses")
-    samplings = [(f"sampling_tau_{tau:g}", "threshold", tau) for tau in taus]
-    if args.topk or not (taus or strategies):
-        samplings.append(("sampling_topk", "topk", 0.0))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     clips = dataset.eval

@@ -1,11 +1,11 @@
-"""Frame-level detection evaluation: per-class AP and mean AP at an IoU gate.
+"""Frame-level detection evaluation: per-class AP and mean AP at the IoU gate.
 
 Detections are ranked by score (ties keep insertion order) and greedily
 matched, within their clip, to the unmatched ground-truth box of highest
-IoU at or above the threshold. AP is the area under the
-precision-recall curve with precision made non-increasing from the
-right (all-point interpolation). Classes without any ground truth are
-excluded from the mean rather than scored zero.
+IoU at or above ``IOU_THRESHOLD``, the paper's frame-mAP gate. AP is the
+area under the precision-recall curve with precision made non-increasing
+from the right (all-point interpolation). Classes without any ground
+truth are excluded from the mean rather than scored zero.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import numpy as np
 
 from .boxes import BoundingBox, iou
 from .errors import ValidationError
+
+IOU_THRESHOLD = 0.5  # a detection matches a ground-truth box at this IoU or above
 
 
 @dataclass(frozen=True)
@@ -58,11 +60,8 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def average_precision(dets: list[Detection], gts: list[GroundTruthBox],
-                      iou_thresh: float = 0.5) -> float:
+def average_precision(dets: list[Detection], gts: list[GroundTruthBox]) -> float:
     """All-point interpolated AP for a single class."""
-    if not (0.0 < iou_thresh < 1.0):
-        raise ValidationError(f"iou threshold must lie in (0,1), got {iou_thresh}")
     if not gts:
         raise ValidationError("average_precision needs at least one ground-truth box")
     if not dets:
@@ -82,7 +81,7 @@ def average_precision(dets: list[Detection], gts: list[GroundTruthBox],
             if used[det.clip_id][j]:
                 continue
             overlap = iou(det.box, gbox)
-            if overlap >= iou_thresh and overlap > best_iou:
+            if overlap >= IOU_THRESHOLD and overlap > best_iou:
                 best_iou, best_j = overlap, j
         if best_j >= 0:
             used[det.clip_id][best_j] = True
@@ -106,7 +105,6 @@ def evaluate(
     ground_truth: list[GroundTruthBox],
     categories: dict[int, str],
     class_names: dict[int, str] | None = None,
-    iou_thresh: float = 0.5,
 ) -> EvalReport:
     """Per-class AP, mean AP, and per-category means."""
     for d in detections:
@@ -128,7 +126,7 @@ def evaluate(
         if not gts_by_class[k]:
             per_class[k] = None
             continue
-        per_class[k] = average_precision(dets_by_class[k], gts_by_class[k], iou_thresh)
+        per_class[k] = average_precision(dets_by_class[k], gts_by_class[k])
 
     scored = [ap for ap in per_class.values() if ap is not None]
     mean_ap = float(np.mean(scored)) if scored else 0.0

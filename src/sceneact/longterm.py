@@ -79,10 +79,6 @@ class WindowingConfig:
     def num_windows(self) -> int:
         return len(self.offsets)
 
-    @classmethod
-    def short_term(cls) -> "WindowingConfig":
-        return cls(long_before=0.0, long_after=0.0)
-
 
 @dataclass
 class AggregationWeights:
@@ -278,18 +274,17 @@ def aggregation_loss(
 ) -> ad.Tensor:
     """Mean per-clip focal set loss of the fused scores, differentiable in the weights.
 
-    ``scores`` (clips, windows, classes, K) and ``targets`` (clips, K,
+    ``scores`` (windows, clips, K, classes) and ``targets`` (clips, K,
     classes) come from ``precompute_windowed``, already in matched order.
     The fused value sum_n w_n * s_n is a probability, so it is mapped to
     logit space with the clamp of the keyframe matching. The scores are
     constants; gradient flows only into the weight parameter. The graph
-    has the same few nodes for any number of clips and windows. Any layout
-    of ``scores`` gives the same bits; window-major is the fast one.
+    has the same few nodes for any number of clips and windows.
     """
     fused = ad.window_sum(scores, weight_param.value)
     focal = ad.focal_from_logits(ad.logit(fused, _PROB_EPS), targets,
                                  loss_cfg.focal_alpha, loss_cfg.focal_gamma)
-    return ad.scale(ad.reduce_sum(focal), 1.0 / scores.shape[0])
+    return ad.scale(ad.reduce_sum(focal), 1.0 / scores.shape[1])
 
 
 def precompute_windowed(
@@ -301,12 +296,11 @@ def precompute_windowed(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frozen-model pass: stacked window scores and padded truth, in matched order.
 
-    Returns ``scores`` (clips, windows, classes, K), whose proposal axis is
-    permuted by each clip's keyframe match so that column i is the
-    prediction matched to padded target i, and ``targets`` (clips, K,
-    classes), the clips' ``matched_targets`` labels. ``scores`` views
-    window-major (windows, clips, K, classes) storage, so each window's block
-    is contiguous for ``ad.window_sum``, which reads it twice per fit epoch.
+    Returns C-contiguous ``scores`` (windows, clips, K, classes), whose
+    proposal axis is permuted by each clip's keyframe match so that row i is
+    the prediction matched to padded target i, and ``targets`` (clips, K,
+    classes), the clips' ``matched_targets`` labels. Each window's block is
+    contiguous for ``ad.window_sum``, which reads it twice per fit epoch.
     """
     all_scores, all_targets = [], []
     for ws in run_windowed_clips(params, cfg, clips, windowing):
@@ -315,7 +309,7 @@ def precompute_windowed(
         # stacked on axis 1, C-contiguous (windows, K, classes) blocks lie window-major
         all_scores.append(np.ascontiguousarray(ws.scores[:, :, list(sigma)].transpose(0, 2, 1)))
         all_targets.append(targets)
-    return np.stack(all_scores, axis=1).transpose(1, 0, 3, 2), np.stack(all_targets)
+    return np.stack(all_scores, axis=1), np.stack(all_targets)
 
 
 def train_aggregation(

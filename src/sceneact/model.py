@@ -25,8 +25,8 @@ the output dropout: three ``ad.linear`` projections (queries, keys,
 values), one ``ad.attention`` node that computes every head of every
 stacked clip in one numpy call per step (head h's softmax weights, dropout
 from ``rng.child(0, h)`` and value mix on its own column block), and the
-output ``ad.linear``. It holds one (B, heads, m, n) array per product where
-a loop over heads held one (m, n). Every dense layer is one ``ad.linear`` node.
+output ``ad.linear``. It holds one (B, heads, m, n) array per product. Every
+dense layer is one ``ad.linear`` node.
 
 The unified stack's last block queries with the K actor rows, the only
 rows the head reads; its keys and values still cover all K + N tokens.

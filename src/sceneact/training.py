@@ -63,6 +63,9 @@ log = logging.getLogger(__name__)
 
 CLIP_NORM = 1.0  # global gradient-norm ceiling of each phase-1 step
 AUGMENT_RANGE = 1.5  # seconds of uniform temporal jitter per phase-1 sample
+ADAM_BETA1 = 0.9  # AdamW's first-moment decay
+ADAM_BETA2 = 0.999  # AdamW's second-moment decay
+ADAM_EPS = 1e-8  # AdamW's denominator floor
 
 
 @dataclass(frozen=True)
@@ -72,9 +75,10 @@ class OptimizerConfig:
     The published schedule (lr 1e-4, 8 epochs, batch 16, decay at epoch
     6, weight decay 1e-4) targets large pretrained backbones; the
     defaults here are the faster desk-scale schedule. AdamW's betas and
-    eps are its own defaults, gradient clipping and temporal
-    augmentation are ``CLIP_NORM`` and ``AUGMENT_RANGE``, and the
-    phase-2 fit keeps ``train_aggregation``'s learning rate.
+    eps are ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``, gradient
+    clipping and temporal augmentation are ``CLIP_NORM`` and
+    ``AUGMENT_RANGE``, and the phase-2 fit keeps ``train_aggregation``'s
+    learning rate.
     """
 
     lr: float = 1e-3
@@ -104,11 +108,9 @@ class OptimizerConfig:
 class AdamW:
     """Decoupled weight decay; decay skips 1-D parameters (biases, norms)."""
 
-    def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+    def __init__(self, params, lr: float, weight_decay: float = 0.0):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = {p.name: np.zeros(p.shape) for p in self.params}
@@ -117,17 +119,17 @@ class AdamW:
     def step(self, lr_scale: float = 1.0):
         self.t += 1
         lr = self.lr * lr_scale
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for p in self.params:
             g = p.grad
             m = self.m[p.name]
             v = self.v[p.name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             new = p.value.data - lr * update
             if self.weight_decay and p.value.data.ndim > 1:
                 new = new - lr * self.weight_decay * p.value.data
@@ -253,14 +255,13 @@ def train_short_term(
     loss_cfg: LossConfig,
     opt_cfg: OptimizerConfig,
     rng: RngStream,
-    windowing: WindowingConfig | None = None,
+    windowing: WindowingConfig,
     out_dir=None,
     state: TrainState | None = None,
     log_lines: list | None = None,
 ) -> TrainState:
     """Phase-1 loop; returns the final state (resumable via ``state``)."""
     scenario = dataset.cfg
-    windowing = windowing or WindowingConfig.short_term()
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     if state is None:

@@ -3,16 +3,20 @@
 Runs ``generate`` -> ``train`` -> ``train --phase long`` ->
 ``eval --topk --threshold 0.5 --strategy weighted --strategy avg
 --strategy max`` -> ``inspect`` in a temporary directory, on a seed-7
-scenario of 40 train and 12 eval clips trained for 2 epochs. Then it
-fits at a second geometry, ``train --phase long`` with 2 s spans
-(``config_support.json``, ``support/``: 5 windows where the default has
-13), and runs ``eval --strategy weighted --strategy avg`` on the
-checkpoint that writes (``support_eval/``). Last come ``train`` and
-``eval --topk`` on the same data for two more variants: the actor_only
-ablation (``config_actor_only.json``, ``blind/`` and ``blind_eval/``) and
-encoder_decoder, whose scene encoder and cross-attention the others do
-not run (``config_encoder_decoder.json``, ``encdec/`` and
-``encdec_eval/``). It prints
+scenario of 40 train and 12 eval clips trained for 2 epochs, then
+``eval --strategy topk --topk-k 3`` on the same ``longterm.ckpt``
+(``topk_eval/``). Then it fits at a second geometry, ``train --phase
+long`` with 2 s spans (``config_support.json``, ``support/``: 5 windows
+where the default has 13), and runs ``eval --strategy weighted
+--strategy avg`` on the checkpoint that writes (``support_eval/``). Last
+come ``train`` and ``eval --topk`` on the same data for three more
+variants: the actor_only ablation (``config_actor_only.json``, ``blind/``
+and ``blind_eval/``), encoder_decoder, whose scene encoder and
+cross-attention the others do not run (``config_encoder_decoder.json``,
+``encdec/`` and ``encdec_eval/``), and decoder_only, whose actor stack
+only cross-attends into the raw scene tokens
+(``config_decoder_only.json``, ``deconly/`` and ``deconly_eval/``). It
+prints
 ``<sha256>  <path>`` for every file the run wrote, paths relative to the
 run directory. Two checkouts whose outputs should be byte-identical print
 identical lines.
@@ -40,6 +44,7 @@ CONFIG = {"seed": 7, "scenario": {"train_clips": 40, "eval_clips": 12},
           "optimizer": {"epochs": 2}}
 BLIND_MODEL = {"variant": "actor_only"}  # the default run's sizes
 ENCDEC_MODEL = {"variant": "encoder_decoder"}
+DECONLY_MODEL = {"variant": "decoder_only"}
 SUPPORT_WINDOWING = {"long_before": 2.0, "long_after": 2.0}
 
 
@@ -50,12 +55,14 @@ def run(root: Path) -> None:
     blind_cfg.write_text(json.dumps(dict(CONFIG, model=BLIND_MODEL)))
     encdec_cfg = root / "config_encoder_decoder.json"
     encdec_cfg.write_text(json.dumps(dict(CONFIG, model=ENCDEC_MODEL)))
+    deconly_cfg = root / "config_decoder_only.json"
+    deconly_cfg.write_text(json.dumps(dict(CONFIG, model=DECONLY_MODEL)))
     support_cfg = root / "config_support.json"
     support_cfg.write_text(json.dumps(dict(CONFIG, windowing=SUPPORT_WINDOWING)))
-    (data, short, long, evals, support, support_evals, blind, blind_evals, encdec,
-     encdec_evals) = (str(root / d) for d in ("data", "short", "long", "eval", "support",
-                                              "support_eval", "blind", "blind_eval", "encdec",
-                                              "encdec_eval"))
+    (data, short, long, evals, topk_evals, support, support_evals, blind, blind_evals, encdec,
+     encdec_evals, deconly, deconly_evals) = (str(root / d) for d in (
+        "data", "short", "long", "eval", "topk_eval", "support", "support_eval", "blind",
+        "blind_eval", "encdec", "encdec_eval", "deconly", "deconly_eval"))
     commands = [
         ["generate", "--config", str(cfg), "--out", data],
         ["train", "--dataset", data, "--out", short],
@@ -64,6 +71,8 @@ def run(root: Path) -> None:
         ["eval", "--dataset", data, "--checkpoint", f"{long}/longterm.ckpt", "--out", evals,
          "--topk", "--threshold", "0.5",
          "--strategy", "weighted", "--strategy", "avg", "--strategy", "max"],
+        ["eval", "--dataset", data, "--checkpoint", f"{long}/longterm.ckpt", "--out",
+         topk_evals, "--strategy", "topk", "--topk-k", "3"],
         ["inspect", "--dataset", data, "--checkpoint", f"{short}/best.ckpt",
          "--clip", "eval_0000", "--attention", str(root / "inspect" / "attention.csv")],
         ["train", "--config", str(support_cfg), "--dataset", data, "--out", support,
@@ -76,6 +85,9 @@ def run(root: Path) -> None:
         ["train", "--config", str(encdec_cfg), "--dataset", data, "--out", encdec],
         ["eval", "--dataset", data, "--checkpoint", f"{encdec}/best.ckpt", "--out",
          encdec_evals, "--topk"],
+        ["train", "--config", str(deconly_cfg), "--dataset", data, "--out", deconly],
+        ["eval", "--dataset", data, "--checkpoint", f"{deconly}/best.ckpt", "--out",
+         deconly_evals, "--topk"],
     ]
     for argv in commands:
         with contextlib.redirect_stdout(io.StringIO()):

@@ -390,17 +390,17 @@ class TestWindowSum:
 
     @staticmethod
     def stacked(scores, w):
-        n_clips, n_win, n_cls, k = scores.shape
-        rows = ad.Tensor(scores.transpose(0, 3, 1, 2).reshape(n_clips, k, n_win * n_cls))
+        n_win, n_clips, k, n_cls = scores.shape
+        rows = ad.Tensor(scores.transpose(1, 2, 0, 3).reshape(n_clips, k, n_win * n_cls))
         weighted = ad.mul_rowvec(rows, ad.reshape(w, (n_win * n_cls,)))
         return ad.reduce_sum(ad.reshape(weighted, (n_clips, k, n_win, n_cls)), axis=2)
 
-    @pytest.mark.parametrize("shape", [(1, 1, 2, 3), (5, 4, 3, 6), (40, 13, 12, 10)])
+    @pytest.mark.parametrize("shape", [(1, 1, 3, 2), (4, 5, 6, 3), (13, 40, 10, 12)])
     def test_value_and_gradient_equal_stacked_expression_bitwise(self, shape):
         g = RngStream(14).generator()
         scores = g.uniform(0.0, 1.0, size=shape)
-        upstream = g.uniform(-1.0, 1.0, size=(shape[0], shape[3], shape[2]))
-        for start in (g.uniform(0.0, 1.0, size=shape[1:3]), np.ones(shape[1:3])):
+        upstream = g.uniform(-1.0, 1.0, size=shape[1:])
+        for start in (g.uniform(0.0, 1.0, size=shape[::3]), np.ones(shape[::3])):
             grads = []
             for build in (self.stacked, ad.window_sum):
                 p = ad.Parameter("w", start)
@@ -409,17 +409,17 @@ class TestWindowSum:
                 ad.backward(ad.reduce_sum(ad.mul_rowvec(
                     ad.reshape(out, (out.size,)), ad.Tensor(upstream.reshape(-1)))))
             (old, p_old), (new, p_new) = grads
-            assert new.shape == (shape[0], shape[3], shape[2])
+            assert new.shape == shape[1:]
             assert np.array_equal(old, new)
             assert np.array_equal(p_old.grad, p_new.grad)
 
-    @pytest.mark.parametrize("shape", [(7, 2, 3, 1), (1, 5, 2, 1)])
+    @pytest.mark.parametrize("shape", [(2, 7, 1, 3), (5, 1, 1, 2)])
     def test_one_proposal_equals_stacked_expression_bitwise(self, shape):
         self.test_value_and_gradient_equal_stacked_expression_bitwise(shape)
 
     def test_grad_check(self):
         g = RngStream(15).generator()
-        scores = g.uniform(0.0, 1.0, size=(3, 4, 2, 5))
+        scores = g.uniform(0.0, 1.0, size=(4, 3, 5, 2))
         targets = (g.uniform(size=(3, 5, 2)) > 0.5).astype(float)
         w = ad.Parameter("w", g.uniform(0.1, 1.0, size=(4, 2)))
 
@@ -431,8 +431,9 @@ class TestWindowSum:
         assert report.passed, report.max_rel_err
 
     def test_shape_mismatch_rejected(self):
+        # (clips, windows, classes, K) scores of 3 clips, 4 windows, 2 classes and K = 5
         with pytest.raises(DimensionError, match="window_sum"):
-            ad.window_sum(np.ones((2, 3, 4, 5)), ad.Tensor(np.ones((4, 3))))
+            ad.window_sum(np.ones((3, 4, 2, 5)), ad.Tensor(np.ones((4, 2))))
 
 
 class TestLeafGradients:

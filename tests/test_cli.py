@@ -457,6 +457,9 @@ class TestTrainEvalInspect:
         ["--threshold", "abc"], ["--threshold", "0.5", "--threshold", "abc"],
         ["--threshold", "nan"], ["--threshold", "1.5"], ["--threshold", "-0.1"],
         ["--strategy", "topk", "--topk-k", "0"], ["--strategy", "topk", "--topk-k", "-5"],
+        # two reports of one name: repeated values, or thresholds equal to 6 digits
+        ["--strategy", "avg", "--strategy", "avg"], ["--threshold", "0.5", "--threshold", "0.50"],
+        ["--threshold", "0.1234567", "--threshold", "0.1234568"],
     ], ids=" ".join)
     def test_eval_bad_sweep_value_writes_nothing(self, workspace, tmp_path, capsys, sweep):
         _root, _cfg, data_dir, out_dir = workspace

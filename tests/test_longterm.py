@@ -172,7 +172,7 @@ class TestRunWindowed:
         scenario = small_scenario()
         cfg, params = tiny_model(scenario)
         clip = generate_clip(scenario, RngStream(900).child(0, 0), "c0", 0.0)
-        single = WindowingConfig.short_term()
+        single = WindowingConfig(long_before=0.0, long_after=0.0)
         ws = run_windowed(params, cfg, clip, single)
         grid = keyframe_grid(clip, single.t_before, single.t_after)
         with ad.no_grad():
@@ -225,7 +225,7 @@ class TestParallelWindows:
 
     @pytest.mark.parametrize("variant,windowing,jobs", [
         ("decoder_only", WindowingConfig(), [3, 2, 2, 2, 2, 2]),  # 14.1 s of support
-        ("unified", WindowingConfig.short_term(), [1]),  # 2.1 s
+        ("unified", WindowingConfig(long_before=0.0, long_after=0.0), [1]),  # 2.1 s
         ("unified", WindowingConfig(long_before=1.0, long_after=1.0), [2, 1]),  # 4.1 s
     ], ids=["decoder_only-14.1", "unified-2.1", "unified-4.1"])
     def test_window_stacks_equal_serial_loop_bitwise(self, two_window_workers, monkeypatch,
@@ -433,9 +433,13 @@ class TestOnePoolPass:
             ws = run_windowed(params, cfg, clip, windowing)
             sigma, t = matched_targets(ground_truth_set(clip, len(clip.proposals)),
                                        clip.proposals, loss_cfg)
-            loop_scores.append(ws.scores[:, :, list(sigma)])
+            loop_scores.append(ws.scores[:, :, list(sigma)].transpose(0, 2, 1))
             loop_targets.append(t)
-        assert scores.tobytes() == np.stack(loop_scores).tobytes()
+        # window-major: each window's (clips, K, classes) block is one contiguous run
+        assert scores.shape == (windowing.num_windows, len(clips), scenario.proposal_count,
+                                cfg.num_classes)
+        assert scores.flags.c_contiguous
+        assert scores.tobytes() == np.stack(loop_scores, axis=1).tobytes()
         assert targets.tobytes() == np.stack(loop_targets).tobytes()
 
     @pytest.mark.parametrize("variant", mdl.VARIANTS)
@@ -551,7 +555,7 @@ class TestAggregationTraining:
         scenario = small_scenario()
         cfg, params = tiny_model(scenario)
         ds = generate_dataset(scenario)
-        single = WindowingConfig.short_term()
+        single = WindowingConfig(long_before=0.0, long_after=0.0)
         weights = train_aggregation(params, cfg, ds.train, single,
                                     LossConfig(), lr=1e-2, epochs=30)
         assert weights.weights.shape[0] == 1
@@ -623,35 +627,6 @@ class TestStackedAggregationLoss:
             assert np.any(g_oracle != 0.0)
             np.testing.assert_allclose(w.grad, g_oracle, rtol=1e-12,
                                        atol=1e-12 * np.abs(g_oracle).max())
-
-    def test_window_major_scores_fit_like_contiguous_ones_bitwise(self):
-        wcfg = WindowingConfig(1.05, 1.05, 2.0, 2.0, 1.0)
-        scores, targets = self.stacked(self.clips, wcfg)
-        # every window's (clips, K, classes) block is one contiguous run for window_sum
-        assert all(scores[:, n].transpose(0, 2, 1).flags.c_contiguous
-                   for n in range(wcfg.num_windows))
-        dense = np.ascontiguousarray(scores)
-        assert dense.tobytes() == scores.tobytes() and not scores.flags.c_contiguous
-        initial = AggregationWeights.initial(wcfg, self.cfg.num_classes).weights
-
-        def fit(layout, epochs=20):
-            """train_aggregation's loop over the given score layout; the losses, grads, weights."""
-            w = ad.Parameter("agg", initial)
-            opt = training.AdamW([w], lr=1e-2)
-            trace = []
-            for _epoch in range(epochs):
-                w.zero_grad()
-                loss = aggregation_loss(w, layout, targets, self.loss_cfg)
-                ad.backward(loss)
-                trace += [loss.data.tobytes(), w.grad.tobytes()]
-                opt.step()
-                w.assign(np.maximum(w.value.data, 0.0))
-            return trace, w.value.data
-
-        (major, w_major), (plain, w_plain) = fit(scores), fit(dense)
-        assert major == plain
-        assert w_major.tobytes() == w_plain.tobytes()
-        assert not np.array_equal(w_major, initial)
 
     def test_graph_size_independent_of_clips_and_windows(self):
         def nodes(n_clips, long_span):

@@ -37,7 +37,7 @@ from sceneact.training import (
 SCENARIO = ScenarioConfig(seed=1200, train_clips=6, eval_clips=3)
 MODEL = mdl.ModelConfig(embed_dim=8, layers=1, heads=2, ffn_dim=16, dropout=0.1,
                         num_classes=SCENARIO.num_classes)
-WINDOW = WindowingConfig.short_term()
+WINDOW = WindowingConfig(long_before=0.0, long_after=0.0)
 
 
 def opt_cfg(**kw):
@@ -243,7 +243,7 @@ class TestLongTermTraining:
 
     def test_single_window_matches_short_term_map(self, dataset):
         state = run(dataset, opt_cfg(epochs=1))
-        single = WindowingConfig.short_term()
+        single = WindowingConfig(long_before=0.0, long_after=0.0)
         weights, report = train_long_term(
             state, dataset, MODEL, LossConfig(),
             opt_cfg(epochs=1, aggregation_epochs=40), single,
